@@ -32,12 +32,13 @@
 // chosen plans are equal — the compiled path must change latency, never
 // predictions (within the 1e-6 fp32 parity contract).
 //
-// PREDTOP_BATCH_DRILL=1 runs the plan search with the batch-compiled
-// executors disabled (sequential compiled replay) then enabled on both paper
-// platforms and asserts the chosen plans are BIT-equal — stacking and
-// interleaving are exact transformations, so unlike the compile drill there
-// is no tolerance: any divergence is a bug. Also asserts the batch executors
-// actually engaged (their process-wide query counters moved).
+// PREDTOP_BATCH_DRILL=1 runs the plan search through the per-query oracle
+// (one sequential compiled forward per stage query) then through the batch
+// oracle on both paper platforms and asserts the chosen plans are
+// BIT-equal — stacking and interleaving are exact transformations, so unlike
+// the compile drill there is no tolerance: any divergence is a bug. Also
+// asserts the batch executors actually engaged (their process-wide query
+// counters moved).
 
 #include <algorithm>
 #include <cmath>
@@ -234,9 +235,9 @@ bool RunCompileDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSp
   return ok;
 }
 
-// Batch drill: the same plan search twice on one platform — batch-compiled
-// execution disabled (every query replays the sequential compiled program,
-// the pre-batch path) then enabled (same-shape query groups run through the
+// Batch drill: the same plan search twice on one platform — first through the
+// per-query oracle (every stage query is one sequential compiled forward),
+// then through the batch oracle (same-shape query groups run through the
 // stacked/interleaved executors) — asserting the two plans are bit-equal:
 // identical stage slices and meshes, and iteration latencies equal to the
 // last bit. Returns true when they are and the batch executors engaged.
@@ -265,16 +266,14 @@ bool RunBatchDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec
   const parallel::InterOpOptimizer optimizer = search.MakeOptimizer();
 
   compile::SetCompileEnabled(true);
-  compile::SetBatchCompileEnabled(false);
   util::Stopwatch off_watch;
-  const parallel::PipelinePlan plan_off = optimizer.Optimize(oracle.AsBatchOracle());
+  const parallel::PipelinePlan plan_off = optimizer.Optimize(oracle.AsOracle());
   const double off_s = off_watch.ElapsedSeconds();
 
   // Fresh prediction cache so the batched pass answers every query through
   // the batch executors instead of replaying fingerprint-cached results (the
   // compiled programs themselves can and should be reused).
   service.ClearCache();
-  compile::SetBatchCompileEnabled(true);
   const std::uint64_t batch_queries_before =
       compile::BatchedForwards() + compile::InterleavedForwards();
   util::Stopwatch on_watch;
@@ -302,10 +301,10 @@ bool RunBatchDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec
 
   util::TablePrinter table({"pass", "optimize wall", "plan latency", "plan bit-equal"});
   table.SetTitle("Fig. 10 batch drill — " + benchmark.name + " on " + platform_label +
-                 " (PREDTOP_BATCH_COMPILE off vs on)");
-  table.AddRow({"batch off", util::FormatSeconds(off_s),
+                 " (per-query vs batch oracle)");
+  table.AddRow({"per-query", util::FormatSeconds(off_s),
                 util::FormatSeconds(plan_off.iteration_latency_s), "reference"});
-  table.AddRow({"batch on", util::FormatSeconds(on_s),
+  table.AddRow({"batched", util::FormatSeconds(on_s),
                 util::FormatSeconds(plan_on.iteration_latency_s), ok ? "yes" : "NO"});
   table.Print(std::cout);
   std::cout << "queries through the batch executors: " << batch_queries << "\n\n";

@@ -21,7 +21,6 @@
 
 #include "compile/batch.h"
 #include "compile/cache.h"
-#include "compile/tune.h"
 #include "core/dataset.h"
 #include "core/predictors.h"
 #include "core/regressor.h"
@@ -32,7 +31,6 @@
 #include "parallel/intra_op.h"
 #include "tensor/arena.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "util/env.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -145,13 +143,9 @@ const ir::StageProgram& SampleStage() {
 
 struct PredictResult {
   std::int64_t graph_nodes = 0;
-  double tape_s = 0.0;      // autograd Forward, packed-GEMM dispatch (today's tape)
-  double tape_ikj_s = 0.0;  // autograd Forward forced onto the i-k-j kernel (pre-PR path)
+  double tape_s = 0.0;      // autograd Forward
   double fast_s = 0.0;      // tape-free InferScalar, compilation disabled
-  double fast_pr5_s = 0.0;  // fast path with the 6x16 GEMM tile (the PR 5 build)
-  double compiled_s = 0.0;       // compiled InferProgram (fused + planned arena)
-  double compiled_bf16_s = 0.0;  // compiled, bf16 weight tier
-  double compiled_int8_s = 0.0;  // compiled, int8 weight tier
+  double compiled_s = 0.0;  // compiled InferProgram (fused + planned arena)
 };
 
 PredictResult RunPredictComparison(bool smoke) {
@@ -167,49 +161,19 @@ PredictResult RunPredictComparison(bool smoke) {
   result.tape_s = BestOf(reps, [&] {
     benchmark::DoNotOptimize(regressor.PredictSecondsTape(encoded));
   });
-  // The autograd path as it stood before this optimization pass: same tape,
-  // i-k-j GEMM kernel (the packed tier landed together with the fast path).
-  tensor::SetPackedGemmEnabled(false);
-  result.tape_ikj_s = BestOf(reps, [&] {
-    benchmark::DoNotOptimize(regressor.PredictSecondsTape(encoded));
-  });
-  tensor::SetPackedGemmEnabled(true);
   compile::SetCompileEnabled(false);
   result.fast_s = BestOf(reps, [&] {
     benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
   });
-  // The fast path exactly as PR 5 shipped it: no compiled programs AND the
-  // historical 6x16 two-vector register tile (the wide 12x16 tile landed with
-  // this PR). This is the baseline the compiled-speedup acceptance is against.
-  const bool wide_before = tensor::GemmWideTiles();
-  tensor::SetGemmWideTiles(false);
-  result.fast_pr5_s = BestOf(reps, [&] {
-    benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
-  });
-  tensor::SetGemmWideTiles(wide_before);
   compile::SetCompileEnabled(true);
   result.compiled_s = BestOf(reps, [&] {
     benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
   });
-  tensor::SetWeightPrec(tensor::GemmPrec::kBf16);
-  result.compiled_bf16_s = BestOf(reps, [&] {
-    benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
-  });
-  tensor::SetWeightPrec(tensor::GemmPrec::kInt8);
-  result.compiled_int8_s = BestOf(reps, [&] {
-    benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
-  });
-  tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
   std::cerr << "[bench] warm PredictSeconds (" << result.graph_nodes << " nodes): tape "
-            << result.tape_s * 1e3 << " ms, tape(i-k-j) " << result.tape_ikj_s * 1e3
-            << " ms, fast " << result.fast_s * 1e3 << " ms ("
-            << result.tape_s / result.fast_s << "x vs tape), fast(PR5 tile) "
-            << result.fast_pr5_s * 1e3 << " ms, compiled "
+            << result.tape_s * 1e3 << " ms, fast " << result.fast_s * 1e3 << " ms ("
+            << result.tape_s / result.fast_s << "x vs tape), compiled "
             << result.compiled_s * 1e3 << " ms ("
-            << result.fast_s / result.compiled_s << "x vs fast, "
-            << result.fast_pr5_s / result.compiled_s << "x vs PR5), bf16 "
-            << result.compiled_bf16_s * 1e3 << " ms, int8 "
-            << result.compiled_int8_s * 1e3 << " ms\n";
+            << result.fast_s / result.compiled_s << "x vs fast)\n";
   return result;
 }
 
@@ -305,16 +269,10 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
       << ", \"arena_s\": " << arena.arena_s << ", \"malloc_s\": " << arena.malloc_s
       << ", \"speedup\": " << arena.malloc_s / arena.arena_s << "},\n";
   out << "  \"predict_gpt3_stage\": {\"graph_nodes\": " << predict.graph_nodes
-      << ", \"tape_s\": " << predict.tape_s << ", \"tape_ikj_s\": " << predict.tape_ikj_s
-      << ", \"fast_s\": " << predict.fast_s
-      << ", \"fast_pr5_s\": " << predict.fast_pr5_s
+      << ", \"tape_s\": " << predict.tape_s << ", \"fast_s\": " << predict.fast_s
       << ", \"compiled_s\": " << predict.compiled_s
-      << ", \"compiled_bf16_s\": " << predict.compiled_bf16_s
-      << ", \"compiled_int8_s\": " << predict.compiled_int8_s
       << ", \"speedup_vs_tape\": " << predict.tape_s / predict.fast_s
-      << ", \"speedup_vs_ikj_tape\": " << predict.tape_ikj_s / predict.fast_s
       << ", \"speedup_compiled_vs_fast\": " << predict.fast_s / predict.compiled_s
-      << ", \"speedup_compiled_vs_fast_pr5\": " << predict.fast_pr5_s / predict.compiled_s
       << ", \"speedup_compiled_vs_tape\": " << predict.tape_s / predict.compiled_s << "},\n";
   out << "  \"batch_predict\": [\n";
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -331,14 +289,7 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
         << ", \"speedup_auto\": " << row.sequential_s / row.auto_s << "}"
         << (i + 1 < batch.size() ? "," : "") << "\n";
   }
-  const compile::TuneTable& tune = compile::ResolvedTuneTable();
-  out << "  ],\n  \"tune\": {\"wide_tiles\": " << (tune.wide_tiles ? "true" : "false")
-      << ", \"par_min_elems\": " << tune.par_min_elems
-      << ", \"interleave_min_batch\": " << tune.interleave_min_batch
-      << ", \"interleave_min_flops\": " << tune.interleave_min_flops
-      << ", \"autotuned\": " << (tune.autotuned ? "true" : "false")
-      << ", \"sweeps\": " << compile::AutotuneSweeps()
-      << ", \"gemm_threads\": " << tensor::GemmThreads() << "}\n}\n";
+  out << "  ],\n  \"gemm_threads\": " << tensor::GemmThreads() << "\n}\n";
   std::cerr << "[bench] wrote " << path << "\n";
 }
 

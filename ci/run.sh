@@ -27,21 +27,20 @@
 #                        mid-plan-search failover drill
 #   ci/run.sh compile    compiled-inference lane: ASan/UBSan build of the
 #                        compile suite (fp32 plan-vs-tape parity, planner
-#                        properties, allocation-free warm forwards, bf16/int8
-#                        tier parity + MRE neutrality, program-cache LRU and
-#                        owner eviction) plus the fast-path parity suites,
-#                        then the fig10 compile drill (plan search with
-#                        PREDTOP_COMPILE off vs on on both paper platforms,
-#                        asserting the chosen plans are equal)
-#   ci/run.sh batch      batch-compiled-execution lane: ASan/UBSan build of
-#                        the compile + serve suites (stacked/interleaved
-#                        bit-parity across batch sizes and thread counts,
-#                        mixed-shape grouping, batched warm-buffer reuse,
-#                        tune-table resolution, PredictMany batch-vs-legacy
-#                        parity), then the fig10 batch drill with
-#                        PREDTOP_AUTOTUNE=1 (plan search with
-#                        PREDTOP_BATCH_COMPILE off vs on on both paper
-#                        platforms, asserting bit-equal plans)
+#                        properties, allocation-free warm forwards,
+#                        stacked/interleaved batch bit-parity, the kAuto
+#                        interleave crossover, program-cache LRU and owner
+#                        eviction), the fast-path parity suites and the
+#                        PredictMany batch-vs-per-query suites, then the
+#                        fig10 compile drill (plan search with
+#                        PREDTOP_COMPILE off vs on) and batch drill (plan
+#                        search through the per-query vs the batch oracle)
+#                        on both paper platforms, asserting equal plans
+#                        (bit-equal for the batch drill)
+#   ci/run.sh portable   build without -march=native (build-portable/) and
+#                        run the fast-path and compile suites, so the 6x16
+#                        GEMM tile that non-AVX-512 builds select stays
+#                        under test on AVX-512 hosts
 #   ci/run.sh overload   overload-protection lane: the deadline / admission /
 #                        router-timeout / reaping suites, the supervisor
 #                        fork/exec suite (crash-loop quarantine, hung-worker
@@ -81,37 +80,32 @@ fi
 if [[ "${1:-}" == "compile" ]]; then
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
-    --target compile_test infer_test fig10_optimization
+    --target compile_test infer_test serve_test fig10_optimization
   # Full compile suite under ASan/UBSan: fp32 parity for every predictor,
   # planner properties, the arena high-water-mark (allocation-free warm
-  # forward) assertion, bf16/int8 parity + MRE bounds, cache LRU/eviction,
-  # and concurrent compiled forwards. The parity filter re-drives every fast
-  # kernel the compiled programs call into.
+  # forward) assertion, stacked + interleaved batch bit-parity across batch
+  # sizes {1,2,7,64} and pool widths {1,2,8}, the kAuto crossover, cache
+  # LRU/eviction, and concurrent compiled forwards. The parity filter
+  # re-drives every fast kernel the compiled programs call into.
   ./build-asan/tests/compile_test
   ./build-asan/tests/infer_test --gtest_filter='InferParity.*:PackedGemm.*'
+  # PredictMany's batch path vs per-query Predict, plus the exported
+  # compiled-path counters.
+  ./build-asan/tests/serve_test --gtest_filter='Service.*'
   # Plan search with compiled programs off then on, both paper platforms:
   # the plans must be equal and the compiled path must actually engage.
   PREDTOP_COMPILE_DRILL=1 PREDTOP_EPOCHS=40 ./build-asan/bench/fig10_optimization
+  # Plan search through the per-query oracle then the batch oracle: the
+  # chosen plans must be BIT-equal (the batch executors are exact) and the
+  # batch path must engage.
+  PREDTOP_BATCH_DRILL=1 PREDTOP_EPOCHS=40 ./build-asan/bench/fig10_optimization
 fi
 
-if [[ "${1:-}" == "batch" ]]; then
-  cmake --preset asan >/dev/null
-  cmake --build --preset asan -j "$(nproc)" \
-    --target compile_test serve_test fig10_optimization
-  # Batch executors under ASan/UBSan: stacked + interleaved bit-parity for
-  # every predictor across batch sizes {1,2,7,64} and pool widths {1,2,8},
-  # mixed-shape regressor grouping, the batched warm-buffer (zero-allocation)
-  # pins, program-cache hit/miss counters, and tune-table resolution.
-  ./build-asan/tests/compile_test \
-    --gtest_filter='CompiledBatch*.*:TuneTableResolution.*:ProgramCache.*'
-  # PredictMany's batch path vs the legacy fan-out path, plus the exported
-  # compiled-path counters.
-  ./build-asan/tests/serve_test --gtest_filter='Service.*'
-  # Plan search with the batch executors off then on, both paper platforms,
-  # with the runtime autotuner enabled for the drill: the chosen plans must
-  # be BIT-equal (the executors are exact) and the batch path must engage.
-  PREDTOP_AUTOTUNE=1 PREDTOP_BATCH_DRILL=1 PREDTOP_EPOCHS=40 \
-    ./build-asan/bench/fig10_optimization
+if [[ "${1:-}" == "portable" ]]; then
+  cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DPREDTOP_NATIVE=OFF >/dev/null
+  cmake --build build-portable -j "$(nproc)" --target infer_test compile_test
+  ./build-portable/tests/infer_test
+  ./build-portable/tests/compile_test
 fi
 
 if [[ "${1:-}" == "tsan" ]]; then
@@ -135,7 +129,7 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/infer_test --gtest_filter='InferConcurrency.*:InferParity.*'
   # Concurrent *compiled* forwards on one shared model: the program cache's
   # build-once-per-shape race, per-thread plan buffers, and the packed
-  # weight tiers under simultaneous readers — sequential and batched (the
+  # weight snapshots under simultaneous readers — sequential and batched (the
   # stacked executor's snapshot/cache/mask-run sharing across threads).
   ./build-tsan/tests/compile_test \
     --gtest_filter='CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTapeAndFastPath'

@@ -321,7 +321,6 @@ std::string EncodeStatsBody(const StatsBody& body) {
   w.U64(body.program_cache_misses);
   w.U64(body.batched_forwards);
   w.U64(body.interleaved_forwards);
-  w.U64(body.autotune_sweeps);
   return w.Take();
 }
 
@@ -345,7 +344,6 @@ StatsBody DecodeStatsBody(std::string_view payload) {
   body.program_cache_misses = r.U64();
   body.batched_forwards = r.U64();
   body.interleaved_forwards = r.U64();
-  body.autotune_sweeps = r.U64();
   r.ExpectEnd();
   return body;
 }

@@ -160,15 +160,14 @@ struct StatsBody {
   // scheduling the server cannot bound.
   std::uint64_t svc_p50_us = 0;
   std::uint64_t svc_p99_us = 0;
-  // Compiled-path counters (PR 10): program-cache outcomes, queries run
-  // through the stacked / interleaved batch executors, and autotuner timing
-  // sweeps — process-wide in the worker, surfaced so the overload/cluster
-  // benches can measure the batch path's coverage.
+  // Compiled-path counters: program-cache outcomes and queries run through
+  // the stacked / interleaved batch executors — process-wide in the worker,
+  // surfaced so the overload/cluster benches can measure the batch path's
+  // coverage.
   std::uint64_t program_cache_hits = 0;
   std::uint64_t program_cache_misses = 0;
   std::uint64_t batched_forwards = 0;
   std::uint64_t interleaved_forwards = 0;
-  std::uint64_t autotune_sweeps = 0;
 };
 
 struct ErrorBody {

@@ -308,7 +308,6 @@ Frame Worker::HandleStats(const Frame& request) {
   body.program_cache_misses = stats.program_cache_misses;
   body.batched_forwards = stats.batched_forwards;
   body.interleaved_forwards = stats.interleaved_forwards;
-  body.autotune_sweeps = stats.autotune_sweeps;
   return {MessageType::kStatsResponse, request.request_id, EncodeStatsBody(body)};
 }
 

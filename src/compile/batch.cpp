@@ -6,19 +6,12 @@
 #include <vector>
 
 #include "compile/exec_detail.h"
-#include "compile/tune.h"
 #include "tensor/ops.h"
-#include "util/env.h"
 #include "util/thread_pool.h"
 
 namespace predtop::compile {
 
 namespace {
-
-std::atomic<bool>& BatchFlag() noexcept {
-  static std::atomic<bool> enabled{util::EnvInt("PREDTOP_BATCH_COMPILE", 1) != 0};
-  return enabled;
-}
 
 std::atomic<std::uint64_t>& BatchedCounter() noexcept {
   static std::atomic<std::uint64_t> n{0};
@@ -48,21 +41,6 @@ struct BatchExecState {
 BatchExecState& ThreadBatchState() {
   thread_local BatchExecState state;
   return state;
-}
-
-/// Per-query FLOPs of the program's linear steps (2*m*k*n each) — the
-/// dominant cost, used by the kAuto crossover against the TuneTable.
-std::int64_t LinearFlops(const InferProgram& p) {
-  std::int64_t flops = 0;
-  for (const Step& s : p.steps) {
-    if (s.kind != OpKind::kLinear && s.kind != OpKind::kLinearAct &&
-        s.kind != OpKind::kLinearResidualNorm) {
-      continue;
-    }
-    const ValueInfo& ov = p.values[static_cast<std::size_t>(s.out)];
-    flops += 2 * ov.rows * s.linear->InFeatures() * s.linear->OutFeatures();
-  }
-  return flops;
 }
 
 /// Independent sequential forwards fanned across `pool`, one per query, each
@@ -192,12 +170,17 @@ bool RunBatched(const InferProgram& p, const ExecInputs* in, std::size_t count,
 
 }  // namespace
 
-bool BatchCompileEnabled() noexcept {
-  return BatchFlag().load(std::memory_order_relaxed);
-}
-
-void SetBatchCompileEnabled(bool enabled) noexcept {
-  BatchFlag().store(enabled, std::memory_order_relaxed);
+std::int64_t LinearFlops(const InferProgram& p) {
+  std::int64_t flops = 0;
+  for (const Step& s : p.steps) {
+    if (s.kind != OpKind::kLinear && s.kind != OpKind::kLinearAct &&
+        s.kind != OpKind::kLinearResidualNorm) {
+      continue;
+    }
+    const ValueInfo& ov = p.values[static_cast<std::size_t>(s.out)];
+    flops += 2 * ov.rows * s.linear->InFeatures() * s.linear->OutFeatures();
+  }
+  return flops;
 }
 
 std::int64_t ThreadBatchBufferFloats() noexcept {
@@ -228,7 +211,6 @@ bool ExecuteBatch(const InferProgram& p, const ExecInputs* in, std::size_t count
   BatchMode mode = opts.mode;
   util::ThreadPool* pool = opts.pool;
   if (mode == BatchMode::kAuto) {
-    const TuneTable& tune = ResolvedTuneTable();
     const std::size_t threads =
         pool != nullptr ? pool->ThreadCount() + 1 : tensor::GemmThreads();
     // Interleave only when there are cores to spread across AND each forward
@@ -236,8 +218,8 @@ bool ExecuteBatch(const InferProgram& p, const ExecInputs* in, std::size_t count
     // pass wins (it amortizes snapshot/pack streaming and its large GEMMs
     // still fan out through the tensor layer's own threading).
     mode = (threads > 1 &&
-            static_cast<std::int64_t>(count) >= tune.interleave_min_batch &&
-            LinearFlops(p) >= tune.interleave_min_flops)
+            static_cast<std::int64_t>(count) >= kInterleaveMinBatch &&
+            LinearFlops(p) >= kInterleaveMinFlops)
                ? BatchMode::kInterleaved
                : BatchMode::kBatched;
   }

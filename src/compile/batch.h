@@ -1,6 +1,6 @@
 #pragma once
 // Batch-level compiled execution. ExecuteBatch runs an entire same-shape
-// query set through one InferProgram with the weight-tier snapshot, the
+// query set through one InferProgram with the weight snapshot, the
 // DAGRA mask-run CSRs, and the static arena plan resolved ONCE for the whole
 // batch, then executes in one of two ways:
 //
@@ -19,8 +19,8 @@
 // Both paths are bit-identical to B sequential Execute calls: stacking rows
 // into one GEMM never changes a row's bits (each output element accumulates
 // in ascending-k order in its own lane, independent of m), and interleaving
-// just runs the sequential executor. kAuto picks by a cost heuristic from
-// the runtime TuneTable (see tune.h).
+// just runs the sequential executor. kAuto picks by a fixed cost heuristic
+// (kInterleaveMinBatch / kInterleaveMinFlops below).
 
 #include <cstddef>
 #include <cstdint>
@@ -33,14 +33,14 @@ class ThreadPool;
 
 namespace predtop::compile {
 
-/// Process-wide switch for the batch path (PREDTOP_BATCH_COMPILE, default
-/// on). Off, PredictBatch / PredictMany fall back to sequential compiled
-/// replay — the pre-batch behavior, bit-identical by construction.
-[[nodiscard]] bool BatchCompileEnabled() noexcept;
-void SetBatchCompileEnabled(bool enabled) noexcept;
+/// kAuto crossover: interleave only batches of at least this many queries...
+inline constexpr std::int64_t kInterleaveMinBatch = 2;
+/// ...whose per-query linear-step FLOPs (LinearFlops) reach this; below it a
+/// forward is too small to amortize one pool task dispatch.
+inline constexpr std::int64_t kInterleaveMinFlops = std::int64_t{1} << 22;
 
 enum class BatchMode {
-  kAuto,         ///< cost heuristic from the TuneTable
+  kAuto,         ///< cost heuristic (kInterleaveMin*), needs > 1 thread
   kBatched,      ///< stacked row-wise steps, per-query graph steps
   kInterleaved,  ///< independent sequential forwards across a pool
 };
@@ -60,6 +60,10 @@ struct BatchOptions {
 /// Results are bit-identical to `count` sequential Execute calls.
 bool ExecuteBatch(const InferProgram& p, const ExecInputs* in, std::size_t count,
                   float* out, const BatchOptions& opts = {});
+
+/// Per-query FLOPs of the program's linear steps (2*m*k*n each), the
+/// dominant forward cost that kAuto compares against kInterleaveMinFlops.
+[[nodiscard]] std::int64_t LinearFlops(const InferProgram& p);
 
 /// Floats held by this thread's batched plan buffer (test hook mirroring
 /// ThreadPlanBufferFloats: stable across warm batches = no reallocation).

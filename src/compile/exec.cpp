@@ -76,17 +76,7 @@ void LinearGemm(const Step& s, const std::shared_ptr<const nn::Linear::InferWeig
   const std::int64_t n = lin.OutFeatures();
   switch (s.tier) {
     case GemmTier::kPacked:
-      switch (w->prec) {
-        case tensor::GemmPrec::kBf16:
-          tensor::MatMulPackedB16Into(x, m, w->pack16, y);
-          break;
-        case tensor::GemmPrec::kInt8:
-          tensor::MatMulPackedB8Into(x, m, w->pack8, y);
-          break;
-        default:
-          tensor::MatMulPackedInto(x, m, w->pack, y);
-          break;
-      }
+      tensor::MatMulPackedInto(x, m, w->pack, y);
       break;
     case GemmTier::kNarrow: {
       const float* wt = w->weight_t.data().data();
@@ -234,8 +224,8 @@ namespace {
 /// masked, so their weights are exact zeros and skipping them leaves every
 /// surviving accumulation term bit-identical.
 void RunFusedAttention(const InferProgram& p, const Step& s,
-                       const InferProgram::Snapshot& snap, const ExecInputs& in,
-                       const float* x, float* y, float* scratch, const MaskRuns& state) {
+                       const InferProgram::Snapshot& snap, const float* x, float* y,
+                       float* scratch, const MaskRuns& state) {
   const nn::MultiheadMaskedAttention& at = *s.attn;
   const std::int64_t n = p.num_nodes;
   const std::int64_t d = at.Dim();
@@ -248,17 +238,7 @@ void RunFusedAttention(const InferProgram& p, const Step& s,
   float* invs = logits + n * n;
   float* packbuf = invs + n;
 
-  switch (snap.prec) {
-    case tensor::GemmPrec::kBf16:
-      tensor::MatMulPackedB16StridedInto(x, n, d, as.qkv16, qkv, d3);
-      break;
-    case tensor::GemmPrec::kInt8:
-      tensor::MatMulPackedB8StridedInto(x, n, d, as.qkv8, qkv, d3);
-      break;
-    default:
-      tensor::MatMulPackedViewStridedInto(x, n, d, tensor::ViewOf(as.qkv), qkv, d3);
-      break;
-  }
+  tensor::MatMulPackedViewStridedInto(x, n, d, tensor::ViewOf(as.qkv), qkv, d3);
   tensor::fused::BiasActRows(qkv, n, d3, d3, as.bias.data(), tensor::fused::Act::kNone);
   // Fold 1/sqrt(dk) into the q columns (post-bias, exactly like the op-by-op
   // fast path's ScaleInPlace on the q projection).
@@ -527,7 +507,7 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       break;
     }
     case OpKind::kFusedAttention:
-      RunFusedAttention(p, s, snap, in, ops.a, ops.out, scratch, *runs);
+      RunFusedAttention(p, s, snap, ops.a, ops.out, scratch, *runs);
       break;
     case OpKind::kScale: {
       float* a = ops.out;

@@ -273,16 +273,14 @@ std::shared_ptr<InferProgram> ProgramBuilder::Finish(ValueId output) {
 
 std::shared_ptr<const InferProgram::Snapshot> InferProgram::CurrentSnapshot() const {
   const std::uint64_t epoch = nn::ParameterEpoch();
-  const tensor::GemmPrec prec = tensor::WeightPrec();
   {
     std::lock_guard<std::mutex> lock(snap_mutex_);
-    if (snap_ != nullptr && snap_->epoch == epoch && snap_->prec == prec) return snap_;
+    if (snap_ != nullptr && snap_->epoch == epoch) return snap_;
   }
   // Rebuild outside the lock: snapshots are immutable, so a racing rebuild
   // just wastes one pack pass and the last writer wins.
   auto fresh = std::make_shared<Snapshot>();
   fresh->epoch = epoch;
-  fresh->prec = prec;
   fresh->lin.resize(steps.size());
   std::int32_t attn_slots = 0;
   for (const Step& s : steps) {
@@ -295,9 +293,7 @@ std::shared_ptr<const InferProgram::Snapshot> InferProgram::CurrentSnapshot() co
     if (s.kind != OpKind::kFusedAttention) continue;
     // Combined [Wq | Wk | Wv] pack: column-concatenating the three (d, d)
     // weights before packing yields the identical panel stream as three
-    // separate packs (d is a panel multiple, enforced by the fuser), and the
-    // int8 per-column scales are column-local, so the reduced-precision
-    // combined packs match the per-Linear ones bit for bit.
+    // separate packs (d is a panel multiple, enforced by the fuser).
     AttnSnap& as = fresh->attn[static_cast<std::size_t>(s.aux)];
     const std::int64_t d = s.attn->Dim();
     const nn::Linear* proj[3] = {&s.attn->Wq(), &s.attn->Wk(), &s.attn->Wv()};
@@ -310,11 +306,6 @@ std::shared_ptr<const InferProgram::Snapshot> InferProgram::CurrentSnapshot() co
       }
     }
     tensor::PackBInto(combined.data(), d, 3 * d, as.qkv);
-    if (prec == tensor::GemmPrec::kBf16) {
-      tensor::PackB16Into(combined.data(), d, 3 * d, as.qkv16);
-    } else if (prec == tensor::GemmPrec::kInt8) {
-      tensor::PackB8Into(combined.data(), d, 3 * d, as.qkv8);
-    }
     as.bias.resize(static_cast<std::size_t>(3 * d));
     for (int w = 0; w < 3; ++w) {
       const autograd::Variable* bv = proj[w]->Bias();

@@ -21,8 +21,8 @@
 //    single epoch check per forward instead of one mutex per Linear.
 //
 // Programs are cached per (predictor instance, shape class) in a global LRU
-// (cache.h) and invalidated by nn::ParameterEpoch / the PREDTOP_GEMM_PREC
-// tier exactly like the per-Linear packs. PREDTOP_COMPILE=0 reverts every
+// (cache.h) and invalidated by nn::ParameterEpoch exactly like the
+// per-Linear packs. PREDTOP_COMPILE=0 reverts every
 // caller to the op-by-op fast path.
 
 #include <cstdint>
@@ -34,7 +34,6 @@
 #include "nn/attention.h"
 #include "nn/linear.h"
 #include "tensor/fused.h"
-#include "tensor/quant.h"
 
 namespace predtop::compile {
 
@@ -141,20 +140,16 @@ class InferProgram {
 
   /// Per-epoch weight snapshot shared by every thread executing the program.
   struct AttnSnap {
-    tensor::PackedB qkv;        // combined [Wq | Wk | Wv] pack, fp32
-    tensor::PackedB16 qkv16;    // bf16 combined pack (prec == kBf16)
-    tensor::PackedB8 qkv8;      // int8 combined pack (prec == kInt8)
+    tensor::PackedB qkv;        // combined [Wq | Wk | Wv] pack
     std::vector<float> bias;    // bq | bk | bv, 3 * dim
   };
   struct Snapshot {
     std::uint64_t epoch = 0;
-    tensor::GemmPrec prec = tensor::GemmPrec::kFp32;
     std::vector<std::shared_ptr<const nn::Linear::InferWeights>> lin;  // per step
     std::vector<AttnSnap> attn;  // indexed by Step::aux
   };
 
-  /// Current snapshot, rebuilt when ParameterEpoch or the precision tier
-  /// moved since the last call (one lock + one atomic check per forward).
+  /// Current snapshot, rebuilt when ParameterEpoch moved since the last call (one lock + one atomic check per forward).
   [[nodiscard]] std::shared_ptr<const Snapshot> CurrentSnapshot() const;
 
  private:

@@ -240,8 +240,7 @@ std::vector<double> LatencyRegressor::PredictBatch(
     std::span<const graph::EncodedGraph* const> graphs) {
   std::vector<double> out(graphs.size(), 0.0);
   if (graphs.empty()) return out;
-  if (!FastInferEnabled() || !compile::CompileEnabled() ||
-      !compile::BatchCompileEnabled()) {
+  if (!FastInferEnabled() || !compile::CompileEnabled()) {
     for (std::size_t i = 0; i < graphs.size(); ++i) out[i] = PredictSeconds(*graphs[i]);
     return out;
   }

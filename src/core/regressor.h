@@ -44,8 +44,8 @@ class LatencyRegressor {
   /// class ((num_nodes, num_edges)) and runs each same-shape group through
   /// the compiled batch executor — program, weight snapshot, and plan
   /// resolved once per group (see compile::ExecuteBatch) — falling back to
-  /// per-graph PredictSeconds when a group is not compilable or the batch
-  /// path is disabled (PREDTOP_BATCH_COMPILE=0). Results are bit-identical
+  /// per-graph PredictSeconds when a group is not compilable or the
+  /// compiled path is disabled (PREDTOP_COMPILE=0). Results are bit-identical
   /// to calling PredictSeconds per graph either way.
   [[nodiscard]] std::vector<double> PredictBatch(std::span<const graph::EncodedGraph> graphs);
   /// Pointer-span overload (predtop::serve batches deduplicated queries that

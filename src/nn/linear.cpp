@@ -31,27 +31,16 @@ Variable Linear::Forward(const Variable& x) const {
 
 std::shared_ptr<const Linear::InferWeights> Linear::SnapshotInferWeights() const {
   const std::uint64_t epoch = ParameterEpoch();
-  const tensor::GemmPrec prec = tensor::WeightPrec();
   std::lock_guard<std::mutex> lock(infer_cache_->mutex);
   std::shared_ptr<const InferWeights>& cached = infer_cache_->weights;
-  if (cached == nullptr || cached->epoch != epoch || cached->prec != prec) {
+  if (cached == nullptr || cached->epoch != epoch) {
     auto fresh = std::make_shared<InferWeights>();
     fresh->epoch = epoch;
-    fresh->prec = prec;
     const tensor::Tensor& w = weight_.value();
     if (out_ >= tensor::kGemmPanel && in_ >= 8) {
       // Shapes the packed tier can ever dispatch to (UsePackedGemm's k/n
-      // preconditions; m is the per-call row count). The reduced-precision
-      // tier only replaces this pack — the narrow-dot and naive tiers stay
-      // fp32 (their shapes are too small for quantization to pay for the
-      // widening, and the regression head's scalar output is where rounding
-      // hurts the most).
+      // preconditions; m is the per-call row count).
       tensor::PackBInto(w.data().data(), in_, out_, fresh->pack);
-      if (prec == tensor::GemmPrec::kBf16) {
-        tensor::PackB16Into(w.data().data(), in_, out_, fresh->pack16);
-      } else if (prec == tensor::GemmPrec::kInt8) {
-        tensor::PackB8Into(w.data().data(), in_, out_, fresh->pack8);
-      }
     }
     if (out_ < 16 && in_ >= 16) {
       fresh->weight_t = tensor::Transpose2D(w);  // narrow-output dot tier
@@ -69,15 +58,7 @@ tensor::MatRef Linear::InferForward(tensor::ConstMat x, InferenceContext& ctx) c
   if (tensor::UsePackedGemm(m, in_, out_)) {
     const auto cached = SnapshotInferWeights();
     y = ctx.arena().Alloc(m, out_);
-    switch (cached->prec) {
-      case tensor::GemmPrec::kBf16:
-        tensor::MatMulPackedB16Into(x.data, m, cached->pack16, y.data);
-        break;
-      case tensor::GemmPrec::kInt8:
-        tensor::MatMulPackedB8Into(x.data, m, cached->pack8, y.data);
-        break;
-      default: tensor::MatMulPackedInto(x.data, m, cached->pack, y.data); break;
-    }
+    tensor::MatMulPackedInto(x.data, m, cached->pack, y.data);
   } else if (out_ < 16 && in_ >= 16) {
     const auto cached = SnapshotInferWeights();
     const float* wt = cached->weight_t.data().data();

@@ -10,7 +10,6 @@
 #include "nn/infer.h"
 #include "nn/module.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "util/rng.h"
 
 namespace predtop::nn {
@@ -46,21 +45,14 @@ class Linear : public Module {
   }
 
   /// Immutable per-epoch derived forms of the weight; readers hold a
-  /// shared_ptr so a concurrent repack can never free data under them. The
-  /// reduced-precision panels (tensor::WeightPrec) are built alongside the
-  /// fp32 pack, and `prec` records the tier they were built for so flipping
-  /// PREDTOP_GEMM_PREC invalidates the snapshot like a parameter mutation.
+  /// shared_ptr so a concurrent repack can never free data under them.
   struct InferWeights {
     std::uint64_t epoch = 0;
-    tensor::GemmPrec prec = tensor::GemmPrec::kFp32;
     tensor::PackedB pack;       // packed weight for the blocked GEMM tier
-    tensor::PackedB16 pack16;   // bf16 panels (prec == kBf16 only)
-    tensor::PackedB8 pack8;     // int8 panels + column scales (kInt8 only)
     tensor::Tensor weight_t;    // W^T for the narrow-output dot tier
   };
 
-  /// Current weight snapshot (lazily rebuilt when ParameterEpoch or the
-  /// precision tier moves). The compiled inference programs hold these per
+  /// Current weight snapshot (lazily rebuilt when ParameterEpoch moves). The compiled inference programs hold these per
   /// step so a warm forward revalidates one epoch load instead of taking
   /// every layer's cache mutex.
   [[nodiscard]] std::shared_ptr<const InferWeights> SnapshotInferWeights() const;

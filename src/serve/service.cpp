@@ -7,7 +7,6 @@
 
 #include "compile/batch.h"
 #include "compile/cache.h"
-#include "compile/tune.h"
 #include "fault/injector.h"
 #include "fault/status.h"
 #include "graph/fingerprint.h"
@@ -143,15 +142,14 @@ std::vector<double> PredictionService::PredictMany(
   }
 
   std::vector<double> distinct_values(distinct.size(), 0.0);
-  if (compile::BatchCompileEnabled() && compile::CompileEnabled() &&
-      core::LatencyRegressor::FastInferActive()) {
+  if (compile::CompileEnabled() && core::LatencyRegressor::FastInferActive()) {
     // Batch-compiled path: all owned misses run through ONE PredictBatch
     // call, which groups by shape class and amortizes program/snapshot/plan
     // resolution per group (and one plan buffer serves the whole call).
     PredictDistinctBatched(key, graphs, cache_keys, distinct, distinct_values,
                            deadline_us);
   } else {
-    // Legacy path (PREDTOP_BATCH_COMPILE=0 or no compiled fast path):
+    // No compiled fast path (PREDTOP_COMPILE=0 or PREDTOP_FAST_INFER=0):
     // distinct misses fan out across the service pool, one sequential
     // forward each.
     pool_.ParallelFor(distinct.size(), [&](std::size_t d) {
@@ -299,7 +297,6 @@ ServiceStats PredictionService::Stats() const {
   stats.program_cache_misses = programs.Misses();
   stats.batched_forwards = compile::BatchedForwards();
   stats.interleaved_forwards = compile::InterleavedForwards();
-  stats.autotune_sweeps = compile::AutotuneSweeps();
   return stats;
 }
 

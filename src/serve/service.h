@@ -69,12 +69,11 @@ struct ServiceStats {
   // Compiled-path counters, snapshotted from the process-wide compile layer
   // (they are not per-service and stay monotonic across ResetStats): program
   // cache outcomes, queries run through the stacked / interleaved batch
-  // executors, and autotuner timing sweeps.
+  // executors.
   std::uint64_t program_cache_hits = 0;
   std::uint64_t program_cache_misses = 0;
   std::uint64_t batched_forwards = 0;
   std::uint64_t interleaved_forwards = 0;
-  std::uint64_t autotune_sweeps = 0;
 };
 
 class PredictionService {
@@ -94,7 +93,8 @@ class PredictionService {
                                std::uint64_t deadline_us = 0);
 
   /// Micro-batched query: duplicate stages inside the batch are predicted
-  /// once, distinct misses run concurrently on the service pool. Returns
+  /// once. Distinct misses run through one compiled batch call, or fan out
+  /// across the service pool when the compiled fast path is off. Returns
   /// latencies parallel to `graphs`. A nonzero `deadline_us` sheds every
   /// not-yet-forwarded query once the deadline (minus the configured margin)
   /// passes; the batch fails as a whole with kDeadlineExceeded.

@@ -54,7 +54,7 @@ void DeferredSoftmaxRowWindow(const float* lrow, const float* mrow, float* orow,
 /// mask check at all. The exp shift is the max over the open lanes — the
 /// same shift the tape's RowSoftmax sees after adding the mask — so a
 /// masked logit can never dominate the shift and the windowed variant's
-/// underflow retry is structurally impossible.
+/// underflow retry is structurally impossible. `orow` may equal `lrow`.
 void DeferredSoftmaxRowChunks(const float* lrow, float* orow, std::int64_t cols,
                               const std::int32_t* chunks, std::int64_t num_chunks,
                               float* inv) noexcept;

@@ -1,7 +1,6 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -101,10 +100,12 @@ void MicroKernelPanel(const float* __restrict a, std::int64_t lda, const float* 
   }
 }
 
-/// Wide tile: one 16-float vector per panel row, up to 12 accumulators. On
-/// AVX-512 this halves the FMA instruction count per k step and fills the
-/// FMA pipeline from a single B load; per output lane the accumulation
-/// sequence is identical to the narrow tile, so results match it bit for bit.
+#if defined(__AVX512F__)
+/// 12x16 tile, the one AVX-512 builds run: one 16-float vector per panel row,
+/// up to 12 accumulators. This halves the FMA instruction count per k step
+/// against the 6x16 tile and fills the FMA pipeline from a single B load; per
+/// output lane the accumulation sequence is identical to the 6x16 tile, so
+/// results match it bit for bit.
 template <int MR>
 void MicroKernelPanelWide(const float* __restrict a, std::int64_t lda,
                           const float* __restrict bp, std::int64_t k,
@@ -118,6 +119,7 @@ void MicroKernelPanelWide(const float* __restrict a, std::int64_t lda,
   }
   for (int r = 0; r < MR; ++r) std::memcpy(c + r * ldc, &acc[r], sizeof(simd::F16));
 }
+#endif
 
 #else  // scalar fallback for compilers without vector extensions
 
@@ -135,25 +137,29 @@ void MicroKernelPanel(const float* __restrict a, std::int64_t lda, const float* 
   for (int r = 0; r < MR; ++r) std::memcpy(c + r * ldc, acc[r], sizeof acc[r]);
 }
 
-template <int MR>
-void MicroKernelPanelWide(const float* __restrict a, std::int64_t lda,
-                          const float* __restrict bp, std::int64_t k,
-                          float* __restrict c, std::int64_t ldc) {
-  MicroKernelPanel<MR>(a, lda, bp, k, c, ldc);
-}
-
 #endif
 
-std::atomic<bool>& WideTileFlag() noexcept {
-  static std::atomic<bool> flag{
-#if defined(__AVX512F__)
-      true
+#if defined(PREDTOP_HAVE_VECTOR_EXT) && defined(__AVX512F__)
+
+void DispatchMicroKernel(int mr, const float* a, std::int64_t lda, const float* bp,
+                         std::int64_t k, float* c, std::int64_t ldc) {
+  switch (mr) {
+    case 12: MicroKernelPanelWide<12>(a, lda, bp, k, c, ldc); break;
+    case 11: MicroKernelPanelWide<11>(a, lda, bp, k, c, ldc); break;
+    case 10: MicroKernelPanelWide<10>(a, lda, bp, k, c, ldc); break;
+    case 9: MicroKernelPanelWide<9>(a, lda, bp, k, c, ldc); break;
+    case 8: MicroKernelPanelWide<8>(a, lda, bp, k, c, ldc); break;
+    case 7: MicroKernelPanelWide<7>(a, lda, bp, k, c, ldc); break;
+    case 6: MicroKernelPanelWide<6>(a, lda, bp, k, c, ldc); break;
+    case 5: MicroKernelPanelWide<5>(a, lda, bp, k, c, ldc); break;
+    case 4: MicroKernelPanelWide<4>(a, lda, bp, k, c, ldc); break;
+    case 3: MicroKernelPanelWide<3>(a, lda, bp, k, c, ldc); break;
+    case 2: MicroKernelPanelWide<2>(a, lda, bp, k, c, ldc); break;
+    default: MicroKernelPanelWide<1>(a, lda, bp, k, c, ldc); break;
+  }
+}
+
 #else
-      false
-#endif
-  };
-  return flag;
-}
 
 void DispatchNarrow(int mr, const float* a, std::int64_t lda, const float* bp,
                     std::int64_t k, float* c, std::int64_t ldc) {
@@ -167,27 +173,10 @@ void DispatchNarrow(int mr, const float* a, std::int64_t lda, const float* bp,
   }
 }
 
+/// The 6x16 tile handles at most 6 rows; larger tiles split row-wise, which
+/// leaves every output element's accumulation order untouched.
 void DispatchMicroKernel(int mr, const float* a, std::int64_t lda, const float* bp,
                          std::int64_t k, float* c, std::int64_t ldc) {
-  if (WideTileFlag().load(std::memory_order_relaxed)) {
-    switch (mr) {
-      case 12: MicroKernelPanelWide<12>(a, lda, bp, k, c, ldc); break;
-      case 11: MicroKernelPanelWide<11>(a, lda, bp, k, c, ldc); break;
-      case 10: MicroKernelPanelWide<10>(a, lda, bp, k, c, ldc); break;
-      case 9: MicroKernelPanelWide<9>(a, lda, bp, k, c, ldc); break;
-      case 8: MicroKernelPanelWide<8>(a, lda, bp, k, c, ldc); break;
-      case 7: MicroKernelPanelWide<7>(a, lda, bp, k, c, ldc); break;
-      case 6: MicroKernelPanelWide<6>(a, lda, bp, k, c, ldc); break;
-      case 5: MicroKernelPanelWide<5>(a, lda, bp, k, c, ldc); break;
-      case 4: MicroKernelPanelWide<4>(a, lda, bp, k, c, ldc); break;
-      case 3: MicroKernelPanelWide<3>(a, lda, bp, k, c, ldc); break;
-      case 2: MicroKernelPanelWide<2>(a, lda, bp, k, c, ldc); break;
-      default: MicroKernelPanelWide<1>(a, lda, bp, k, c, ldc); break;
-    }
-    return;
-  }
-  // Narrow tile handles at most 6 rows; larger tiles split row-wise, which
-  // leaves every output element's accumulation order untouched.
   while (mr > 6) {
     DispatchNarrow(6, a, lda, bp, k, c, ldc);
     a += 6 * lda;
@@ -196,6 +185,8 @@ void DispatchMicroKernel(int mr, const float* a, std::int64_t lda, const float* 
   }
   DispatchNarrow(mr, a, lda, bp, k, c, ldc);
 }
+
+#endif
 
 /// Rows [row_begin, row_end) of C = A * packed(B), with row strides lda/ldc
 /// (the contiguous case passes b.k / b.n). row_begin must be a multiple of
@@ -243,10 +234,11 @@ std::size_t GemmThreadTarget() noexcept {
   return target;
 }
 
-std::atomic<std::int64_t>& GemmParMinElemsFlag() noexcept {
-  static std::atomic<std::int64_t> v{
-      util::EnvInt("PREDTOP_GEMM_PAR_MIN_ELEMS", 4l << 20)};  // 4Mi MACs
-  return v;
+/// m*k*n at which the packed GEMM fans row panels across the shared pool.
+std::int64_t GemmParMinElems() noexcept {
+  static const std::int64_t min_elems =
+      util::EnvInt("PREDTOP_GEMM_PAR_MIN_ELEMS", 4l << 20);  // 4Mi MACs
+  return min_elems;
 }
 
 /// Shared process-wide pool for threaded GEMMs, built on first threaded
@@ -316,38 +308,7 @@ void PackBTransposedInto(const float* bt, std::int64_t k, std::int64_t n, Packed
   PackBTransposedIntoBuf(bt, k, n, out.data.data(), ldb);
 }
 
-namespace {
-
-std::atomic<bool>& PackedGemmFlag() noexcept {
-  static std::atomic<bool> enabled{util::EnvInt("PREDTOP_GEMM_PACKED", 1) != 0};
-  return enabled;
-}
-
-}  // namespace
-
-void SetPackedGemmEnabled(bool enabled) noexcept {
-  PackedGemmFlag().store(enabled, std::memory_order_relaxed);
-}
-
-bool GemmWideTiles() noexcept { return WideTileFlag().load(std::memory_order_relaxed); }
-
-void SetGemmWideTiles(bool enabled) noexcept {
-  WideTileFlag().store(enabled, std::memory_order_relaxed);
-}
-
-std::int64_t GemmParMinElems() noexcept {
-  return GemmParMinElemsFlag().load(std::memory_order_relaxed);
-}
-
-void SetGemmParMinElems(std::int64_t min_elems) noexcept {
-  GemmParMinElemsFlag().store(min_elems > 0 ? min_elems : 1, std::memory_order_relaxed);
-}
-
 std::size_t GemmThreads() noexcept { return GemmThreadTarget(); }
-
-bool PackedGemmEnabled() noexcept {
-  return PackedGemmFlag().load(std::memory_order_relaxed);
-}
 
 bool UsePackedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept {
   // Packing costs O(k*n); below ~256Ki multiply-accumulates the i-k-j kernel
@@ -355,7 +316,6 @@ bool UsePackedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept {
   // micro-kernel nothing to stream. The floor is kGemmRowFloor, not kGemmMr:
   // tier selection must not move when the register tile height changes.
   if (n < kGemmPanel || k < 8 || m < kGemmRowFloor) return false;
-  if (!PackedGemmEnabled()) return false;
   return m * k * n >= (std::int64_t{1} << 18);
 }
 

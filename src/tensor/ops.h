@@ -29,22 +29,16 @@ namespace predtop::tensor {
 
 /// Columns per packed panel (two 8-wide SIMD vectors, or one 16-wide).
 inline constexpr std::int64_t kGemmPanel = 16;
-/// Max rows per register tile of the packed micro-kernel. The wide (one
-/// 16-float vector per panel) tile keeps 12 accumulators in registers on
-/// AVX-512; the narrow two-8-wide tile processes 6 rows and mr > 6 dispatches
-/// split row-wise. Either way each output element accumulates in ascending-k
-/// order in its own lane, so tile shape never changes a single result bit.
+/// Rows per register tile of the packed micro-kernel. The tile shape is a
+/// build-time choice: AVX-512 builds run a 12x16 tile (one 16-float vector
+/// per panel row, 12 accumulators); other builds run a 6x16 two-vector tile
+/// and split each 12-row block in two. Either way each output element
+/// accumulates in ascending-k order in its own lane, so the tile shape never
+/// changes a single result bit.
 inline constexpr std::int64_t kGemmMr = 12;
 /// Minimum m for the packed tier (tier *selection* floor — kept at the
 /// historical tile height so shapes keep dispatching to the same kernels).
 inline constexpr std::int64_t kGemmRowFloor = 6;
-
-/// Whether packed micro-kernels use the wide 12x16 single-vector tile
-/// (default on when compiled with AVX-512 support) or the 6x16 two-vector
-/// tile. Runtime-switchable so benchmarks can A/B the tiles; results are
-/// bit-identical either way.
-[[nodiscard]] bool GemmWideTiles() noexcept;
-void SetGemmWideTiles(bool enabled) noexcept;
 
 /// B(k, n) packed panel-major: panel p holds columns [p*kGemmPanel, ...) laid
 /// out k-major (kGemmPanel contiguous floats per k step), the last panel
@@ -128,21 +122,10 @@ void PackedViewTile(const float* a, std::int64_t lda, PackedBView b, float* c,
 
 /// True when MatMul dispatches shape (m, k, n) to the packed kernel.
 [[nodiscard]] bool UsePackedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept;
-/// Process-wide switch for the packed tier (default from PREDTOP_GEMM_PACKED,
-/// on unless set to 0). With it off, UsePackedGemm is always false and every
-/// multiply runs the i-k-j kernel — an A/B lever so benchmarks can measure
-/// against the pre-packed baseline in-process.
-void SetPackedGemmEnabled(bool enabled) noexcept;
-[[nodiscard]] bool PackedGemmEnabled() noexcept;
 /// True when the packed kernel additionally spreads row panels across the
 /// shared GEMM ThreadPool (m*k*n >= PREDTOP_GEMM_PAR_MIN_ELEMS, default 4Mi).
+/// Threading never changes result bits, only where the crossover sits.
 [[nodiscard]] bool UseThreadedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept;
-/// The parallel-split threshold UseThreadedGemm compares m*k*n against.
-/// Runtime-settable (initialized from PREDTOP_GEMM_PAR_MIN_ELEMS) so the
-/// compile-layer autotuner can calibrate it to the machine at first use;
-/// threading never changes result bits, only where the crossover sits.
-[[nodiscard]] std::int64_t GemmParMinElems() noexcept;
-void SetGemmParMinElems(std::int64_t min_elems) noexcept;
 /// Worker count the shared GEMM pool runs with (PREDTOP_GEMM_THREADS or
 /// hardware_concurrency); reading it never constructs the pool.
 [[nodiscard]] std::size_t GemmThreads() noexcept;

@@ -126,10 +126,23 @@ inline F16 Broadcast16(float v) noexcept {
 
 /// Scalar exp approximation for non-positive inputs (range-reduced 2^f
 /// polynomial, ~1e-4 relative error on [-87, 0]; underflows to 0 below).
+///
+/// The reduced argument f = x*log2(e) - n must carry a single rounding: an
+/// FMA target contracts the product into the subtraction, but without FMA
+/// the rounded product's error (relative 2^-24 of |x*log2(e)|) would land in
+/// f, so exp's error would grow with |x|. Those builds form the product in
+/// double, where it is exact.
 [[nodiscard]] inline float ExpNonPositive(float x) noexcept {
+#if defined(__FMA__)
   const float y = x * 1.442695041f;
   const float n = static_cast<float>(static_cast<int>(y - 0.5f));  // floor for y <= 0
   const float f = y - n;                                           // in [0, 1)
+#else
+  const double y = static_cast<double>(x) * static_cast<double>(1.442695041f);
+  const double nd = static_cast<double>(static_cast<int>(y - 0.5));
+  const float n = static_cast<float>(nd);
+  const float f = static_cast<float>(y - nd);
+#endif
   float p = 1.8775767e-3f;
   p = p * f + 8.9893397e-3f;
   p = p * f + 5.5826318e-2f;
@@ -147,14 +160,22 @@ inline F16 Broadcast16(float v) noexcept {
 #ifdef PREDTOP_HAVE_VECTOR_EXT
 /// One 8-wide step of the exp approximation, input pre-clamped per lane to
 /// [-100, 0] by the caller (the clamp makes fully-masked -inf entries
-/// underflow to exactly 0 via the exponent clamp below).
+/// underflow to exactly 0 via the exponent clamp below). Without FMA the
+/// range reduction runs in double, as in ExpNonPositive.
 inline F8 ExpNonPositiveV(F8 vx) noexcept {
   const F8 floor_arg = Broadcast(-100.0f);
   vx = vx < floor_arg ? floor_arg : vx;
+#if defined(__FMA__)
   const F8 y = vx * Broadcast(1.442695041f);
   const I8 nint = __builtin_convertvector(y - Broadcast(0.5f), I8);  // floor for y <= 0
   const F8 nf = __builtin_convertvector(nint, F8);
   const F8 f = y - nf;
+#else
+  using D8 = double __attribute__((vector_size(64)));
+  const D8 y = __builtin_convertvector(vx, D8) * static_cast<double>(1.442695041f);
+  const I8 nint = __builtin_convertvector(y - 0.5, I8);  // floor for y <= 0
+  const F8 f = __builtin_convertvector(y - __builtin_convertvector(nint, D8), F8);
+#endif
   F8 p = Broadcast(1.8775767e-3f);
   p = p * f + Broadcast(8.9893397e-3f);
   p = p * f + Broadcast(5.5826318e-2f);
@@ -259,10 +280,11 @@ inline void ExpNonPositiveN(const float* __restrict x, float* __restrict out,
 /// out[i] = exp(x[i] + add[i] - shift) with `add` nullable and the arguments
 /// guaranteed non-positive (shift is the row max). Fuses the softmax shift
 /// pass into the exp pass; per element this is the identical float sequence
-/// (add, subtract, ExpNonPositive) as the two-pass formulation.
-inline void ExpShiftedNonPositiveN(const float* __restrict x, const float* __restrict add,
-                                   float shift, float* __restrict out,
-                                   std::int64_t n) noexcept {
+/// (add, subtract, ExpNonPositive) as the two-pass formulation. `out` may
+/// equal `x` (in-place): each lane is read before it is written, so x and
+/// out carry no __restrict.
+inline void ExpShiftedNonPositiveN(const float* x, const float* __restrict add, float shift,
+                                   float* out, std::int64_t n) noexcept {
   std::int64_t i = 0;
 #ifdef PREDTOP_HAVE_VECTOR_EXT
   const F8 vshift = Broadcast(shift);
@@ -310,10 +332,10 @@ inline void ExpShiftedNonPositiveN(const float* __restrict x, const float* __res
 
 /// ExpShiftedNonPositiveN that also returns the sum of the outputs,
 /// accumulated in vector lanes during the exp pass (lane-split order, so the
-/// value can differ from a sequential sum in the last bits).
-inline float ExpShiftedNonPositiveSumN(const float* __restrict x, const float* __restrict add,
-                                       float shift, float* __restrict out,
-                                       std::int64_t n) noexcept {
+/// value can differ from a sequential sum in the last bits). In-place calls
+/// (`out == x`) are allowed, as for ExpShiftedNonPositiveN.
+inline float ExpShiftedNonPositiveSumN(const float* x, const float* __restrict add,
+                                       float shift, float* out, std::int64_t n) noexcept {
   float total = 0.0f;
   std::int64_t i = 0;
 #ifdef PREDTOP_HAVE_VECTOR_EXT

@@ -184,7 +184,6 @@ TEST(WireCodec, HealthStatsAndErrorBodiesRoundTrip) {
   stats.program_cache_misses = 4;
   stats.batched_forwards = 33;
   stats.interleaved_forwards = 9;
-  stats.autotune_sweeps = 2;
   const StatsBody stats2 = DecodeStatsBody(EncodeStatsBody(stats));
   EXPECT_EQ(stats2.requests, stats.requests);
   EXPECT_EQ(stats2.queries, stats.queries);
@@ -198,7 +197,6 @@ TEST(WireCodec, HealthStatsAndErrorBodiesRoundTrip) {
   EXPECT_EQ(stats2.program_cache_misses, stats.program_cache_misses);
   EXPECT_EQ(stats2.batched_forwards, stats.batched_forwards);
   EXPECT_EQ(stats2.interleaved_forwards, stats.interleaved_forwards);
-  EXPECT_EQ(stats2.autotune_sweeps, stats.autotune_sweeps);
 
   const ErrorBody error{fault::StatusCode::kNotFound, "no model registered"};
   const ErrorBody error2 = DecodeErrorBody(EncodeErrorBody(error));

@@ -1,16 +1,16 @@
 // Tests for the compiled-inference subsystem (predtop::compile): fp32
 // plan-vs-tape parity for every predictor, static-arena planner properties
 // (no overlapping offsets for live-range-intersecting values, deterministic
-// layouts), allocation-free warm forwards, reduced-precision (bf16 / int8)
-// parity and MRE neutrality, program-cache LRU bounds and owner eviction,
-// and concurrent compiled forwards (run under TSan by ci/run.sh tsan).
+// layouts), allocation-free warm forwards, batch-vs-sequential equality and
+// the kAuto interleave crossover, program-cache LRU bounds and owner
+// eviction, and concurrent compiled forwards (run under TSan by
+// ci/run.sh tsan).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,18 +19,14 @@
 #include "compile/cache.h"
 #include "compile/planner.h"
 #include "compile/program.h"
-#include "compile/tune.h"
 #include "core/dataset.h"
 #include "core/predictors.h"
 #include "core/regressor.h"
 #include "ir/stages.h"
 #include "nn/infer.h"
 #include "nn/optimizer.h"
-#include "sim/cluster.h"
-#include "sim/profiler.h"
 #include "tensor/arena.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -68,14 +64,10 @@ graph::EncodedGraph TinyEncodedStage(std::int32_t first = 1, std::int32_t last =
 constexpr PredictorKind kAllKinds[] = {PredictorKind::kDagTransformer, PredictorKind::kGcn,
                                        PredictorKind::kGat};
 
-/// Restores the compile/batch flags and weight precision on scope exit so a
-/// failing assertion cannot leak a disabled/quantized state into later tests.
+/// Restores the compile flag on scope exit so a failing assertion cannot
+/// leak a disabled state into later tests.
 struct ScopedInferenceConfig {
-  ~ScopedInferenceConfig() {
-    compile::SetCompileEnabled(true);
-    compile::SetBatchCompileEnabled(true);
-    tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-  }
+  ~ScopedInferenceConfig() { compile::SetCompileEnabled(true); }
 };
 
 /// The compiled prediction for g, asserting the compiled path actually ran
@@ -298,152 +290,6 @@ TEST(FusedParity, PaperScaleGraphTakesFusedKernelAndMatchesTape) {
   }
 }
 
-TEST(FusedParity, QuantTiersEngageAtPaperScale) {
-  ScopedInferenceConfig guard;
-  const graph::EncodedGraph& g = PaperScaleStage();
-  auto model = MakePredictor(PredictorKind::kDagTransformer, PaperOptions());
-  tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-  const float fp32 = CompiledScalar(*model, g);
-  for (const tensor::GemmPrec prec : {tensor::GemmPrec::kBf16, tensor::GemmPrec::kInt8}) {
-    tensor::SetWeightPrec(prec);
-    const float quant = CompiledScalar(*model, g);
-    ASSERT_TRUE(std::isfinite(quant));
-    // The packed tier runs at this scale, so the reduced-precision panels
-    // genuinely engage: the output must move, but stay within the 1e-2
-    // relative parity contract.
-    EXPECT_NE(quant, fp32) << tensor::GemmPrecName(prec) << " tier never engaged";
-    EXPECT_LE(std::abs(quant - fp32), 1e-2f * std::max(1.0f, std::abs(fp32)))
-        << tensor::GemmPrecName(prec) << ": fp32=" << fp32 << " quant=" << quant;
-  }
-}
-
-// ---- reduced-precision tiers ----
-
-TEST(CompiledQuant, Bf16AndInt8TrackFp32) {
-  ScopedInferenceConfig guard;
-  const graph::EncodedGraph g = TinyEncodedStage();
-  for (const PredictorKind kind : kAllKinds) {
-    auto model = MakePredictor(kind, TinyOptions());
-    tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-    const float fp32 = CompiledScalar(*model, g);
-    for (const tensor::GemmPrec prec : {tensor::GemmPrec::kBf16, tensor::GemmPrec::kInt8}) {
-      tensor::SetWeightPrec(prec);
-      const float quant = CompiledScalar(*model, g);
-      ASSERT_TRUE(std::isfinite(quant)) << model->Name();
-      EXPECT_LE(std::abs(quant - fp32), 1e-2f * std::max(1.0f, std::abs(fp32)))
-          << model->Name() << " prec=" << tensor::GemmPrecName(prec) << ": fp32=" << fp32
-          << " quant=" << quant;
-    }
-    tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-    // Returning to fp32 must drop the quantized snapshot, not serve it.
-    EXPECT_EQ(CompiledScalar(*model, g), fp32) << model->Name();
-  }
-}
-
-namespace {
-
-struct QuantSuite {
-  StageDataset dataset;
-  std::vector<std::size_t> idx;
-  std::unique_ptr<LatencyRegressor> regressor;
-};
-
-/// Builds a scaled-down Table V cell (GPT-3 on Platform 1) and fits a DAG
-/// transformer of the given width to it.
-QuantSuite TrainedQuantSuite(std::int64_t dagt_dim, std::int64_t heads,
-                             int epochs) {
-  QuantSuite s;
-  const BenchmarkModel benchmark = Gpt3Benchmark(ir::Gpt3Config{});
-  const parallel::IntraOpCompiler compiler(sim::Platform1(), sim::Mesh{1, 2});
-  sim::Profiler profiler({}, 14);
-  DatasetBuildConfig build;
-  build.num_samples = 8;
-  build.max_span = 5;
-  s.dataset = BuildStageDataset(benchmark, compiler, {2, 1, 1}, profiler, build);
-  s.idx.resize(s.dataset.Size());
-  for (std::size_t i = 0; i < s.idx.size(); ++i) s.idx[i] = i;
-  PredictorOptions options = PaperOptions();
-  options.dagt_dim = dagt_dim;
-  options.dagt_heads = heads;
-  options.dagt_layers = 2;
-  s.regressor =
-      std::make_unique<LatencyRegressor>(PredictorKind::kDagTransformer, options);
-  nn::TrainConfig train;
-  train.max_epochs = epochs;
-  train.patience = epochs;
-  train.batch_size = 4;
-  (void)s.regressor->Fit(s.dataset, s.idx, s.idx, train);
-  return s;
-}
-
-}  // namespace
-
-TEST(CompiledQuant, MreNeutralOnTinyTable5Suite) {
-  // Satellite: the Table V/VI suites run the bench-default transformer width
-  // (dagt_dim = 16). At that width every GEMM in the trunk sits below the
-  // packed-tier floor (m*k*n >= 2^18), so the tier-selection rule keeps all
-  // of them in fp32 regardless of PREDTOP_GEMM_PREC — the floor doubles as
-  // the precision fallback rule, and reduced precision is exactly
-  // accuracy-neutral where the tables are produced. Asserted per tier:
-  // MRE degrades < 0.1pp (it is bit-identical, in fact).
-  ScopedInferenceConfig guard;
-  QuantSuite s = TrainedQuantSuite(/*dagt_dim=*/16, /*heads=*/4, /*epochs=*/60);
-  tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-  const double fp32_mre = s.regressor->MrePercent(s.dataset, s.idx);
-  for (const tensor::GemmPrec prec : {tensor::GemmPrec::kBf16, tensor::GemmPrec::kInt8}) {
-    tensor::SetWeightPrec(prec);
-    const double quant_mre = s.regressor->MrePercent(s.dataset, s.idx);
-    EXPECT_LE(std::abs(quant_mre - fp32_mre), 0.1)
-        << tensor::GemmPrecName(prec) << ": fp32 MRE=" << fp32_mre
-        << "% quant MRE=" << quant_mre << "%";
-  }
-}
-
-TEST(CompiledQuant, QuantCostBoundedAtDim64) {
-  // Stress regime: a dim-64 trunk on paper-size graphs, where the packed
-  // tier (and so the quantized kernels) carries the bulk of the arithmetic.
-  // A trained DAG transformer amplifies weight rounding through its sharp
-  // attention softmax (a 0.4% bf16 weight error can move a prediction by a
-  // few percent), so the reduced tiers are NOT free here; this test pins the
-  // measured ceiling so a regression in the quantized kernels can't hide:
-  // bf16 ~0.9pp / int8 ~4pp MRE on this fixed-seed suite, asserted with
-  // margin, and the compiled program must track the op-by-op fast path under
-  // both tiers (same packs, same tier dispatch; the residual 1e-5-scale gap
-  // is the same amplification applied to 1e-6-scale kernel differences).
-  ScopedInferenceConfig guard;
-  QuantSuite s = TrainedQuantSuite(/*dagt_dim=*/64, /*heads=*/4, /*epochs=*/120);
-  tensor::SetWeightPrec(tensor::GemmPrec::kFp32);
-  const double fp32_mre = s.regressor->MrePercent(s.dataset, s.idx);
-  std::vector<double> fp32_pred(s.dataset.Size());
-  for (std::size_t i = 0; i < s.dataset.Size(); ++i) {
-    fp32_pred[i] = s.regressor->PredictSeconds(s.dataset.samples[i].encoded);
-  }
-  struct TierBound {
-    tensor::GemmPrec prec;
-    double rel_pred;  // max per-prediction relative deviation vs fp32
-    double mre_pp;    // max MRE degradation, percentage points
-  };
-  for (const TierBound tier : {TierBound{tensor::GemmPrec::kBf16, 0.15, 1.5},
-                               TierBound{tensor::GemmPrec::kInt8, 0.40, 5.0}}) {
-    tensor::SetWeightPrec(tier.prec);
-    for (std::size_t i = 0; i < s.dataset.Size(); ++i) {
-      const double quant = s.regressor->PredictSeconds(s.dataset.samples[i].encoded);
-      compile::SetCompileEnabled(false);
-      const double quant_ref = s.regressor->PredictSeconds(s.dataset.samples[i].encoded);
-      compile::SetCompileEnabled(true);
-      EXPECT_NEAR(quant, quant_ref, 1e-4 * quant_ref)
-          << tensor::GemmPrecName(tier.prec) << " sample " << i;
-      EXPECT_LE(std::abs(quant - fp32_pred[i]), tier.rel_pred * fp32_pred[i])
-          << tensor::GemmPrecName(tier.prec) << " sample " << i << ": fp32="
-          << fp32_pred[i] << "s quant=" << quant << "s";
-    }
-    const double quant_mre = s.regressor->MrePercent(s.dataset, s.idx);
-    EXPECT_LE(quant_mre - fp32_mre, tier.mre_pp)
-        << tensor::GemmPrecName(tier.prec) << ": fp32 MRE=" << fp32_mre
-        << "% quant MRE=" << quant_mre << "%";
-  }
-}
-
 // ---- program cache ----
 
 TEST(ProgramCache, EntriesAreEvictedWhenOwnerDies) {
@@ -648,14 +494,55 @@ TEST(CompiledBatch, RegressorBatchMatchesSequentialAcrossShapes) {
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(batched[i], expected[i]) << regressor.Model().Name() << " i=" << i;
     }
-    // The kill switch reverts to sequential replay — still bit-identical.
-    compile::SetBatchCompileEnabled(false);
-    const std::vector<double> fallback =
-        regressor.PredictBatch(std::span<const graph::EncodedGraph>(graphs));
-    compile::SetBatchCompileEnabled(true);
+    // The pointer-span overload (the serving path's deduplicated misses) in
+    // reversed order must scatter each result back to its own query.
+    std::vector<const graph::EncodedGraph*> reversed;
+    for (auto it = graphs.rbegin(); it != graphs.rend(); ++it) reversed.push_back(&*it);
+    const std::vector<double> by_ptr =
+        regressor.PredictBatch(std::span<const graph::EncodedGraph* const>(reversed));
+    ASSERT_EQ(by_ptr.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(fallback[i], expected[i]) << regressor.Model().Name() << " i=" << i;
+      EXPECT_EQ(by_ptr[i], expected[expected.size() - 1 - i])
+          << regressor.Model().Name() << " reversed i=" << i;
     }
+  }
+}
+
+TEST(CompiledBatch, AutoModeCrossoverFollowsLinearFlops) {
+  ScopedInferenceConfig guard;
+  // A one-worker pool plus the calling thread makes kAuto's thread condition
+  // hold on any host, so the per-query linear FLOPs alone decide the path:
+  // the tiny trunk stays stacked, the paper-size dim-64 trunk interleaves.
+  util::ThreadPool pool(1);
+  compile::BatchOptions opts;
+  opts.pool = &pool;
+  struct Case {
+    const char* name;
+    std::unique_ptr<StagePredictor> model;
+    const graph::EncodedGraph* base;
+    bool interleaves;
+  };
+  const graph::EncodedGraph tiny = TinyEncodedStage();
+  Case cases[] = {
+      {"tiny", MakePredictor(PredictorKind::kDagTransformer, TinyOptions()), &tiny, false},
+      {"paper", MakePredictor(PredictorKind::kDagTransformer, PaperOptions()),
+       &PaperScaleStage(), true},
+  };
+  constexpr std::size_t kCount = compile::kInterleaveMinBatch + 1;
+  for (Case& c : cases) {
+    const BatchFixture f = MakeBatchFixture(*c.model, *c.base, kCount);
+    const auto program = compile::ProgramCache::Global().Lookup(
+        c.model->InstanceId(), c.base->num_nodes,
+        static_cast<std::int64_t>(c.base->edge_src.size()));
+    ASSERT_TRUE(program.has_value() && *program != nullptr) << c.name;
+    EXPECT_EQ(compile::LinearFlops(**program) >= compile::kInterleaveMinFlops, c.interleaves)
+        << c.name << ": linear FLOPs " << compile::LinearFlops(**program);
+    const std::uint64_t batched0 = compile::BatchedForwards();
+    const std::uint64_t interleaved0 = compile::InterleavedForwards();
+    ExpectBatchParity(*c.model, f, kCount, opts, c.name);
+    EXPECT_EQ(compile::InterleavedForwards() - interleaved0, c.interleaves ? kCount : 0u)
+        << c.name;
+    EXPECT_EQ(compile::BatchedForwards() - batched0, c.interleaves ? 0u : kCount) << c.name;
   }
 }
 
@@ -696,52 +583,6 @@ TEST(ProgramCache, HitAndMissCountersAreMonotonic) {
   (void)CompiledScalar(*model, g);  // warm: pure hit
   EXPECT_GT(cache.Hits(), hits1);
   EXPECT_EQ(cache.Misses(), misses1);
-}
-
-TEST(TuneTableResolution, EnvOverridesWinAndResolutionIsSticky) {
-  ScopedInferenceConfig guard;
-  const bool wide0 = tensor::GemmWideTiles();
-  const std::int64_t pme0 = tensor::GemmParMinElems();
-  const std::uint64_t sweeps0 = compile::AutotuneSweeps();
-  setenv("PREDTOP_TUNE_WIDE_TILES", "0", 1);
-  setenv("PREDTOP_TUNE_PAR_MIN_ELEMS", "123456", 1);
-  setenv("PREDTOP_TUNE_INTERLEAVE_MIN_BATCH", "9", 1);
-  setenv("PREDTOP_TUNE_INTERLEAVE_MIN_FLOPS", "77", 1);
-  compile::detail::ResetTuneTableForTest();
-  const compile::TuneTable& t = compile::ResolvedTuneTable();
-  EXPECT_FALSE(t.wide_tiles);
-  EXPECT_EQ(t.par_min_elems, 123456);
-  EXPECT_EQ(t.interleave_min_batch, 9);
-  EXPECT_EQ(t.interleave_min_flops, 77);
-  EXPECT_FALSE(t.autotuned);  // env resolution runs no timing sweeps...
-  EXPECT_EQ(compile::AutotuneSweeps(), sweeps0);
-  // ...but explicit overrides do propagate to the tensor layer.
-  EXPECT_FALSE(tensor::GemmWideTiles());
-  EXPECT_EQ(tensor::GemmParMinElems(), 123456);
-  // Sticky: once resolved, env changes are ignored until a reset.
-  setenv("PREDTOP_TUNE_PAR_MIN_ELEMS", "999", 1);
-  EXPECT_EQ(compile::ResolvedTuneTable().par_min_elems, 123456);
-  unsetenv("PREDTOP_TUNE_WIDE_TILES");
-  unsetenv("PREDTOP_TUNE_PAR_MIN_ELEMS");
-  unsetenv("PREDTOP_TUNE_INTERLEAVE_MIN_BATCH");
-  unsetenv("PREDTOP_TUNE_INTERLEAVE_MIN_FLOPS");
-  tensor::SetGemmWideTiles(wide0);
-  tensor::SetGemmParMinElems(pme0);
-  compile::detail::ResetTuneTableForTest();
-}
-
-TEST(TuneTableResolution, DefaultResolutionNeverMovesTensorKnobs) {
-  ScopedInferenceConfig guard;
-  const bool wide0 = tensor::GemmWideTiles();
-  const std::int64_t pme0 = tensor::GemmParMinElems();
-  tensor::SetGemmWideTiles(!wide0);  // pretend a test manages this global
-  compile::detail::ResetTuneTableForTest();
-  const compile::TuneTable& t = compile::ResolvedTuneTable();
-  EXPECT_EQ(t.wide_tiles, !wide0);  // defaults mirror the current state...
-  EXPECT_EQ(tensor::GemmWideTiles(), !wide0);  // ...and never stomp it
-  EXPECT_EQ(tensor::GemmParMinElems(), pme0);
-  tensor::SetGemmWideTiles(wide0);
-  compile::detail::ResetTuneTableForTest();
 }
 
 // Exercised under TSan via ci/run.sh tsan: concurrent stacked batches on one

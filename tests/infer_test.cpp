@@ -23,7 +23,6 @@
 #include "nn/serialize.h"
 #include "tensor/arena.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "util/rng.h"
 
 namespace predtop::core {
@@ -79,44 +78,6 @@ TEST(PackedGemm, ThreadedIsBitIdenticalToSingleThread) {
   const tensor::Tensor threaded = tensor::MatMulPacked(a, b, /*allow_threads=*/true);
   for (std::int64_t i = 0; i < single.numel(); ++i) {
     ASSERT_EQ(single.data()[i], threaded.data()[i]) << "element " << i;
-  }
-}
-
-TEST(PackedGemm, WideTileIsBitIdenticalToNarrowTile) {
-  // The 12x16 single-vector tile and the historical 6x16 two-vector tile must
-  // agree bit-for-bit in every precision tier: each output lane accumulates in
-  // ascending-k order regardless of tile shape, and the compiled-program
-  // parity contract (<= 1e-6 vs the tape) depends on that.
-  const bool wide_before = tensor::GemmWideTiles();
-  const struct { std::int64_t m, k, n; } shapes[] = {
-      {1, 16, 16}, {6, 16, 16}, {7, 33, 16}, {12, 17, 40}, {13, 20, 100}, {61, 47, 129},
-  };
-  util::Rng rng(17);
-  for (const auto& s : shapes) {
-    const tensor::Tensor a = tensor::Tensor::Randn({s.m, s.k}, rng);
-    const tensor::Tensor b = tensor::Tensor::Randn({s.k, s.n}, rng);
-    const tensor::PackedB bp = tensor::PackB(b);
-    tensor::PackedB16 b16;
-    tensor::PackB16Into(b.data().data(), s.k, s.n, b16);
-    tensor::PackedB8 b8;
-    tensor::PackB8Into(b.data().data(), s.k, s.n, b8);
-    std::vector<float> wide_f(s.m * s.n), narrow_f(s.m * s.n);
-    std::vector<float> wide_16(s.m * s.n), narrow_16(s.m * s.n);
-    std::vector<float> wide_8(s.m * s.n), narrow_8(s.m * s.n);
-    tensor::SetGemmWideTiles(true);
-    tensor::MatMulPackedInto(a.data().data(), s.m, bp, wide_f.data());
-    tensor::MatMulPackedB16Into(a.data().data(), s.m, b16, wide_16.data());
-    tensor::MatMulPackedB8Into(a.data().data(), s.m, b8, wide_8.data());
-    tensor::SetGemmWideTiles(false);
-    tensor::MatMulPackedInto(a.data().data(), s.m, bp, narrow_f.data());
-    tensor::MatMulPackedB16Into(a.data().data(), s.m, b16, narrow_16.data());
-    tensor::MatMulPackedB8Into(a.data().data(), s.m, b8, narrow_8.data());
-    tensor::SetGemmWideTiles(wide_before);
-    for (std::int64_t i = 0; i < s.m * s.n; ++i) {
-      ASSERT_EQ(wide_f[i], narrow_f[i]) << "fp32 element " << i;
-      ASSERT_EQ(wide_16[i], narrow_16[i]) << "bf16 element " << i;
-      ASSERT_EQ(wide_8[i], narrow_8[i]) << "int8 element " << i;
-    }
   }
 }
 

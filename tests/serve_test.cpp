@@ -533,14 +533,9 @@ TEST(Service, ConcurrentPredictManyWithOverlappingKeys) {
 
 // ---- batch-compiled PredictMany ----
 
-/// Restores the process-wide batch-path switch on scope exit so a failing
-/// assertion cannot leak a disabled batch path into later tests.
-struct ScopedBatchCompile {
-  explicit ScopedBatchCompile(bool enabled) { compile::SetBatchCompileEnabled(enabled); }
-  ~ScopedBatchCompile() { compile::SetBatchCompileEnabled(true); }
-};
-
 TEST(Service, PredictManyBatchPathMatchesLegacyPath) {
+  // The batch-compiled PredictMany must return, per query, the exact bits of
+  // the sequential per-query Predict path.
   auto registry = std::make_shared<ModelRegistry>();
   const ModelKey key{"gpt3", "platform1", sim::Mesh{1, 1}, {}};
   registry->Register(key, std::make_shared<core::LatencyRegressor>(
@@ -553,7 +548,6 @@ TEST(Service, PredictManyBatchPathMatchesLegacyPath) {
 
   std::vector<double> batched;
   {
-    ScopedBatchCompile on(true);
     PredictionService service(registry);
     batched = service.PredictMany(key, batch);
     const ServiceStats stats = service.Stats();
@@ -561,16 +555,15 @@ TEST(Service, PredictManyBatchPathMatchesLegacyPath) {
     EXPECT_EQ(stats.batched_queries, 5u);
     EXPECT_EQ(stats.forwards, 3u);  // duplicates still collapse on the batch path
   }
-  std::vector<double> legacy;
+  std::vector<double> sequential;
   {
-    ScopedBatchCompile off(false);
     PredictionService service(registry);
-    legacy = service.PredictMany(key, batch);
+    for (const graph::EncodedGraph* g : batch) sequential.push_back(service.Predict(key, *g));
     EXPECT_EQ(service.Stats().forwards, 3u);
   }
-  ASSERT_EQ(batched.size(), legacy.size());
+  ASSERT_EQ(batched.size(), sequential.size());
   for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i], legacy[i]) << "PREDTOP_BATCH_COMPILE must not change bits, i=" << i;
+    EXPECT_EQ(batched[i], sequential[i]) << "batching must not change bits, i=" << i;
   }
 }
 
@@ -579,7 +572,6 @@ TEST(Service, PredictManyWarmBatchReusesPlanBuffers) {
   // have been served, re-serving the same batch (cache cleared, so the
   // forwards genuinely run) must not grow this thread's sequential plan
   // buffer or batched plan buffer, and must not touch the dynamic arena.
-  ScopedBatchCompile on(true);
   auto registry = std::make_shared<ModelRegistry>();
   const ModelKey key{"gpt3", "platform1", sim::Mesh{1, 1}, {}};
   registry->Register(key, std::make_shared<core::LatencyRegressor>(
@@ -610,7 +602,6 @@ TEST(Service, PredictManyWarmBatchReusesPlanBuffers) {
 }
 
 TEST(Service, StatsExposeCompiledBatchCounters) {
-  ScopedBatchCompile on(true);
   auto registry = std::make_shared<ModelRegistry>();
   const ModelKey key{"gpt3", "platform1", sim::Mesh{1, 1}, {}};
   registry->Register(key, std::make_shared<core::LatencyRegressor>(
