@@ -2,8 +2,10 @@
 //
 //  1. A headline comparison suite (runs first, always) that times the GEMM
 //     tiers (naive i-k-j vs packed vs packed+threads), arena vs malloc
-//     allocation, and warm tape vs tape-free PredictSeconds on a real GPT-3
-//     stage graph, and writes the results to BENCH_kernels.json (path
+//     allocation, warm tape vs tape-free PredictSeconds on a real GPT-3
+//     stage graph, and the encode phase of a cold plan search (one
+//     EncodeStage per slice vs one structure-shared StageEncodings), and
+//     writes the results to BENCH_kernels.json (path
 //     overridable via PREDTOP_BENCH_JSON). PREDTOP_BENCH_SMOKE=1 shrinks
 //     repetitions so CI can exercise the harness in seconds.
 //  2. The google-benchmark registrations kept from the original harness
@@ -16,6 +18,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,7 +27,9 @@
 #include "core/dataset.h"
 #include "core/predictors.h"
 #include "core/regressor.h"
+#include "core/stage_encodings.h"
 #include "graph/reachability.h"
+#include "ir/stages.h"
 #include "ir/to_dag.h"
 #include "nn/infer.h"
 #include "parallel/inter_op.h"
@@ -251,9 +256,77 @@ std::vector<BatchRow> RunBatchSweep(bool smoke) {
   return rows;
 }
 
+struct EncodeSearchRow {
+  std::string model;
+  std::int32_t max_span = 0;
+  std::size_t slices = 0;
+  std::size_t distinct = 0;
+  double per_slice_s = 0.0;  // one EncodeStage per slice
+  double shared_s = 0.0;     // every slice through one fresh StageEncodings
+  double per_slice_mask_mb = 0.0;
+  double shared_mask_mb = 0.0;
+};
+
+std::vector<EncodeSearchRow> RunEncodeSearch(bool smoke) {
+  // The encode phase of one cold plan search over the Fig. 10 models, with
+  // the spans the plan-search benchmark uses. Programs are built up front,
+  // so both legs time encoding only.
+  const std::pair<core::BenchmarkModel, std::int32_t> models[] = {
+      {core::Gpt3Benchmark(), 9}, {core::MoeBenchmark(), 11}};
+  const int reps = smoke ? 1 : 5;
+  std::vector<EncodeSearchRow> rows;
+  for (const auto& [model, max_span] : models) {
+    const auto slices = ir::EnumerateStageSlices(model.num_layers, max_span);
+    std::vector<ir::StageProgram> programs;
+    programs.reserve(slices.size());
+    for (const ir::StageSlice slice : slices) programs.push_back(model.build_stage(slice));
+    const auto encode_all = [&](core::StageEncodings& encodings) {
+      for (std::size_t i = 0; i < slices.size(); ++i) {
+        (void)encodings.For(slices[i],
+                            [&](ir::StageSlice) -> const ir::StageProgram& { return programs[i]; });
+      }
+    };
+
+    EncodeSearchRow row;
+    row.model = model.name;
+    row.max_span = max_span;
+    row.slices = slices.size();
+    row.per_slice_s = BestOf(reps, [&] {
+      for (const ir::StageProgram& program : programs) {
+        benchmark::DoNotOptimize(core::EncodeStage(program).num_nodes);
+      }
+    });
+    row.shared_s = BestOf(reps, [&] {
+      core::StageEncodings encodings;
+      encode_all(encodings);
+      benchmark::DoNotOptimize(encodings.NumDistinct());
+    });
+
+    core::StageEncodings encodings;
+    encode_all(encodings);
+    row.distinct = encodings.NumDistinct();
+    std::set<const graph::EncodedGraph*> distinct;
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+      const graph::EncodedGraph& g = encodings.For(
+          slices[i], [&](ir::StageSlice) -> const ir::StageProgram& { return programs[i]; });
+      const double mask_mb = static_cast<double>(g.dagra_mask.numel()) * sizeof(float) / 1e6;
+      row.per_slice_mask_mb += mask_mb;
+      if (distinct.insert(&g).second) row.shared_mask_mb += mask_mb;
+    }
+    std::cerr << "[bench] encode " << row.model << " (span <= " << max_span << "): "
+              << row.slices << " slices, " << row.distinct << " distinct graphs; per slice "
+              << row.per_slice_s * 1e3 << " ms, shared " << row.shared_s * 1e3 << " ms ("
+              << row.per_slice_s / row.shared_s << "x), masks " << row.per_slice_mask_mb
+              << " -> " << row.shared_mask_mb << " MB\n";
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
                const ArenaResult& arena, const PredictResult& predict,
-               const std::vector<BatchRow>& batch, bool smoke) {
+               const std::vector<BatchRow>& batch,
+               const std::vector<EncodeSearchRow>& encode, bool smoke) {
   std::ofstream out(path);
   out << "{\n  \"smoke\": " << (smoke ? "true" : "false") << ",\n  \"gemm\": [\n";
   for (std::size_t i = 0; i < gemm.size(); ++i) {
@@ -288,6 +361,17 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
         << ", \"speedup_interleaved\": " << row.sequential_s / row.interleaved_s
         << ", \"speedup_auto\": " << row.sequential_s / row.auto_s << "}"
         << (i + 1 < batch.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"encode_search\": [\n";
+  for (std::size_t i = 0; i < encode.size(); ++i) {
+    const EncodeSearchRow& row = encode[i];
+    out << "    {\"model\": \"" << row.model << "\", \"max_span\": " << row.max_span
+        << ", \"slices\": " << row.slices << ", \"distinct_graphs\": " << row.distinct
+        << ", \"per_slice_s\": " << row.per_slice_s << ", \"shared_s\": " << row.shared_s
+        << ", \"speedup_shared\": " << row.per_slice_s / row.shared_s
+        << ", \"per_slice_mask_mb\": " << row.per_slice_mask_mb
+        << ", \"shared_mask_mb\": " << row.shared_mask_mb << "}"
+        << (i + 1 < encode.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"gemm_threads\": " << tensor::GemmThreads() << "\n}\n";
   std::cerr << "[bench] wrote " << path << "\n";
@@ -422,7 +506,8 @@ int main(int argc, char** argv) {
   const ArenaResult arena = RunArenaVsMalloc(smoke);
   const PredictResult predict = RunPredictComparison(smoke);
   const std::vector<BatchRow> batch = RunBatchSweep(smoke);
-  WriteJson(json_path, gemm, arena, predict, batch, smoke);
+  const std::vector<EncodeSearchRow> encode = RunEncodeSearch(smoke);
+  WriteJson(json_path, gemm, arena, predict, batch, encode, smoke);
   if (smoke) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -16,7 +16,9 @@
 #   ci/run.sh perf       additional -march=native build (build-native/), the
 #                        fast-path parity + tensor suites under it, and a
 #                        smoke micro_kernels run recording GEMM / arena /
-#                        warm-predict speedups to build-native/BENCH_kernels.json
+#                        warm-predict / batch speedups and the encode_search
+#                        row (per-slice vs structure-shared stage encoding of
+#                        a cold plan search) to build-native/BENCH_kernels.json
 #   ci/run.sh train      training lane: the parallel-backward / trainer /
 #                        online-refresh suites plus a smoke train_throughput
 #                        run recording epoch time vs thread count (and
@@ -97,7 +99,8 @@ if [[ "${1:-}" == "compile" ]]; then
   PREDTOP_COMPILE_DRILL=1 PREDTOP_EPOCHS=40 ./build-asan/bench/fig10_optimization
   # Plan search through the per-query oracle then the batch oracle: the
   # chosen plans must be BIT-equal (the batch executors are exact) and the
-  # batch path must engage.
+  # batch path must engage. Both legs read the search's shared stage
+  # encodings, so this also pins sharing as plan-neutral.
   PREDTOP_BATCH_DRILL=1 PREDTOP_EPOCHS=40 ./build-asan/bench/fig10_optimization
 fi
 
@@ -134,14 +137,15 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/compile_test \
     --gtest_filter='CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTapeAndFastPath'
   # Router concurrency: the cluster-wide coalescing map, per-worker
-  # connection locking and failover counters under concurrent clients, plus
+  # connection locking and failover counters under concurrent clients, the
+  # worker's StageEncodings store shared by its connection threads, plus
   # the overload-protection suites (deadline shedding, admission budgets,
   # per-attempt timeouts / breaker trips, connection-thread reaping).
   # ClusterProcess/SupervisorProcess are excluded — fork/exec and TSan do
   # not mix; the in-process LocalCluster drives identical code paths on
   # threads.
   ./build-tsan/tests/cluster_test \
-    --gtest_filter='ClusterE2E.*:Ring.*:Deadline.*:Admission.*:RouterTimeout.*:WorkerReap.*'
+    --gtest_filter='ClusterE2E.*:StageEncodings.*:Ring.*:Deadline.*:Admission.*:RouterTimeout.*:WorkerReap.*'
 fi
 
 if [[ "${1:-}" == "perf" ]]; then

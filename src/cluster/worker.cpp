@@ -197,10 +197,7 @@ Frame Worker::Dispatch(const Frame& request) {
 
 const graph::EncodedGraph& Worker::EncodedFor(ir::StageSlice slice) {
   const std::scoped_lock lock(encode_mutex_);
-  const auto key = std::make_pair(slice.first_layer, slice.last_layer);
-  if (const auto it = encoded_.find(key); it != encoded_.end()) return it->second;
-  return encoded_.emplace(key, core::EncodeStage(options_.benchmark.build_stage(slice)))
-      .first->second;
+  return encodings_.For(slice, options_.benchmark.build_stage);
 }
 
 Frame Worker::HandlePredict(const Frame& request) {

@@ -42,6 +42,7 @@
 #include "cluster/transport.h"
 #include "cluster/wire.h"
 #include "core/dataset.h"
+#include "core/stage_encodings.h"
 #include "fault/status.h"
 #include "serve/registry.h"
 #include "serve/service.h"
@@ -131,8 +132,8 @@ class Worker {
   [[nodiscard]] Frame HandlePredict(const Frame& request);
   [[nodiscard]] Frame HandleHealth(const Frame& request);
   [[nodiscard]] Frame HandleStats(const Frame& request);
-  /// Memoized slice -> encoded predictor input (mutex-serialized; the
-  /// encoder is shared by all connection threads).
+  /// Encoded predictor input of a slice, shared by structure across slices
+  /// (mutex-serialized; the store is shared by all connection threads).
   [[nodiscard]] const graph::EncodedGraph& EncodedFor(ir::StageSlice slice);
   void RequestStop() noexcept;
 
@@ -161,7 +162,7 @@ class Worker {
   std::vector<int> live_fds_;  // shut down by RequestStop to unblock reads
 
   std::mutex encode_mutex_;
-  std::map<std::pair<std::int32_t, std::int32_t>, graph::EncodedGraph> encoded_;
+  core::StageEncodings encodings_;  // under encode_mutex_
 };
 
 /// Process entry point of the standalone worker binary (and of test child

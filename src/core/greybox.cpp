@@ -18,12 +18,7 @@ GreyBoxEstimator::GreyBoxEstimator(
 double GreyBoxEstimator::EstimateStageLatency(ir::StageSlice slice, sim::Mesh mesh) {
   for (auto& [regressor_mesh, regressor] : regressors_) {
     if (regressor_mesh == mesh) {
-      const auto key = std::make_pair(slice.first_layer, slice.last_layer);
-      auto it = encoded_cache_.find(key);
-      if (it == encoded_cache_.end()) {
-        it = encoded_cache_.emplace(key, EncodeStage(benchmark_.build_stage(slice))).first;
-      }
-      return regressor->PredictSeconds(it->second);
+      return regressor->PredictSeconds(encodings_.For(slice, benchmark_.build_stage));
     }
   }
   throw std::invalid_argument("GreyBoxEstimator: no regressor for the requested mesh");

@@ -4,12 +4,12 @@
 // (Eqn. 4) to estimate the end-to-end iteration latency of any hybrid
 // parallelization plan without profiling it.
 
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/regressor.h"
+#include "core/stage_encodings.h"
 #include "parallel/plan.h"
 
 namespace predtop::core {
@@ -30,7 +30,7 @@ class GreyBoxEstimator {
  private:
   BenchmarkModel benchmark_;
   std::vector<std::pair<sim::Mesh, std::shared_ptr<LatencyRegressor>>> regressors_;
-  std::map<std::pair<std::int32_t, std::int32_t>, graph::EncodedGraph> encoded_cache_;
+  StageEncodings encodings_;
 };
 
 }  // namespace predtop::core

@@ -56,12 +56,8 @@ const ir::StageProgram& PlanSearch::ProgramFor(ir::StageSlice slice) {
 }
 
 const graph::EncodedGraph& PlanSearch::EncodedFor(ir::StageSlice slice) {
-  const auto key = SliceKey(slice);
-  auto it = encoded_cache_.find(key);
-  if (it == encoded_cache_.end()) {
-    it = encoded_cache_.emplace(key, EncodeStage(ProgramFor(slice))).first;
-  }
-  return it->second;
+  return encodings_.For(
+      slice, [this](ir::StageSlice s) -> const ir::StageProgram& { return ProgramFor(s); });
 }
 
 parallel::StageLatencyResult PlanSearch::TrueStageLatency(ir::StageSlice slice, sim::Mesh mesh) {

@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "core/regressor.h"
+#include "core/stage_encodings.h"
 #include "parallel/inter_op.h"
 
 namespace predtop::core {
@@ -90,7 +91,10 @@ class PlanSearch {
   [[nodiscard]] std::int32_t EffectiveMaxSpan() const noexcept;
 
   /// Stage program / encoded predictor input of a slice (memoized — shared
-  /// by the plan-search oracles and the serving integration).
+  /// by the plan-search oracles and the serving integration). Slices whose
+  /// pruned DAGs are equal share one encoding (see StageEncodings). Not
+  /// thread-safe: encode every slice before sharing the search across
+  /// threads.
   [[nodiscard]] const ir::StageProgram& ProgramFor(ir::StageSlice slice);
   [[nodiscard]] const graph::EncodedGraph& EncodedFor(ir::StageSlice slice);
 
@@ -107,7 +111,7 @@ class PlanSearch {
   std::vector<sim::Mesh> meshes_;
   std::vector<std::unique_ptr<parallel::IntraOpCompiler>> compilers_;  // per mesh
   std::map<std::pair<std::int32_t, std::int32_t>, ir::StageProgram> program_cache_;
-  std::map<std::pair<std::int32_t, std::int32_t>, graph::EncodedGraph> encoded_cache_;
+  StageEncodings encodings_;
   /// (slice key, mesh index) -> true latency result.
   std::map<std::tuple<std::int32_t, std::int32_t, std::int32_t>, parallel::StageLatencyResult>
       truth_cache_;

@@ -25,6 +25,8 @@ struct DagNode {
   std::int32_t op_type = 0;  // vocabulary index (see ir::OpType)
   std::int32_t dtype = 0;    // vocabulary index (see ir::DType)
   std::array<std::int64_t, kMaxFeatureDims> out_dims{1, 1, 1, 1};
+
+  friend bool operator==(const DagNode&, const DagNode&) = default;
 };
 
 class OpDag {
@@ -57,6 +59,11 @@ class OpDag {
 
   /// All (u, v) edges, u -> v.
   [[nodiscard]] std::vector<std::pair<std::int32_t, std::int32_t>> Edges() const;
+
+  /// Exact structural equality: the same nodes in the same index order with
+  /// the same successor (and predecessor) lists. Every encoding is a function
+  /// of exactly this, so equal DAGs encode bit-identically.
+  friend bool operator==(const OpDag&, const OpDag&) = default;
 
  private:
   std::vector<DagNode> nodes_;

@@ -13,16 +13,25 @@
 namespace predtop::graph {
 
 /// Row-major bitset: bit v of row u set iff u reaches v via >= 0 edges
-/// (every node reaches itself).
+/// (every node reaches itself). The kReverse closure is its transpose: bit v
+/// of row u set iff v reaches u.
 class ReachabilityClosure {
  public:
-  explicit ReachabilityClosure(const OpDag& dag);
+  enum class Direction { kForward, kReverse };
+
+  explicit ReachabilityClosure(const OpDag& dag, Direction direction = Direction::kForward);
 
   [[nodiscard]] bool Reaches(std::int32_t u, std::int32_t v) const noexcept {
     const std::size_t bit = static_cast<std::size_t>(v);
-    return (rows_[static_cast<std::size_t>(u) * words_ + bit / 64] >> (bit % 64)) & 1ULL;
+    return (Row(u)[bit / 64] >> (bit % 64)) & 1ULL;
   }
   [[nodiscard]] std::int64_t NumNodes() const noexcept { return n_; }
+
+  /// Row u as WordsPerRow() 64-bit words; bit v is word v / 64, bit v % 64.
+  [[nodiscard]] const std::uint64_t* Row(std::int32_t u) const noexcept {
+    return rows_.data() + static_cast<std::size_t>(u) * words_;
+  }
+  [[nodiscard]] std::size_t WordsPerRow() const noexcept { return words_; }
 
   /// Number of ordered reachable pairs, including self-pairs.
   [[nodiscard]] std::int64_t CountReachablePairs() const noexcept;

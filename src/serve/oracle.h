@@ -28,8 +28,11 @@
 
 namespace predtop::serve {
 
-/// Resolves a stage slice to its encoded predictor input (memoization is the
-/// resolver's business — core::PlanSearch::EncodedFor already caches).
+/// Resolves a stage slice to its encoded predictor input. Memoization is the
+/// resolver's business: core::PlanSearch::EncodedFor resolves slices through
+/// a core::StageEncodings store, so slices with equal pruned DAGs return the
+/// same encoding. That store takes no lock, so an oracle called from several
+/// threads needs every slice encoded beforehand or a serializing encoder.
 using StageEncoder = std::function<const graph::EncodedGraph&(ir::StageSlice)>;
 
 struct ServingOracleOptions {

@@ -1,7 +1,5 @@
 #include "tensor/sparse.h"
 
-#include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace predtop::tensor {
@@ -13,24 +11,42 @@ Csr Csr::FromCoo(std::int64_t rows, std::int64_t cols,
   if (r.size() != c.size() || r.size() != v.size()) {
     throw std::invalid_argument("Csr::FromCoo: triplet arrays must match in length");
   }
-  // (row, col) -> summed value; std::map keeps entries sorted for CSR layout.
-  std::map<std::pair<std::int32_t, std::int32_t>, float> entries;
   for (std::size_t i = 0; i < r.size(); ++i) {
     if (r[i] < 0 || r[i] >= rows || c[i] < 0 || c[i] >= cols) {
       throw std::out_of_range("Csr::FromCoo: index out of range");
     }
-    entries[{r[i], c[i]}] += v[i];
   }
+  // Stable counting sort of the triplet indices by column, then by row: the
+  // result is ordered by (row, col), with duplicates kept in input order.
+  const auto counting_sort = [](const std::vector<std::int32_t>& keys, std::int64_t num_keys,
+                                const std::vector<std::size_t>& in) {
+    std::vector<std::size_t> start(static_cast<std::size_t>(num_keys) + 1, 0);
+    for (const std::size_t i : in) ++start[static_cast<std::size_t>(keys[i]) + 1];
+    for (std::size_t k = 0; k < static_cast<std::size_t>(num_keys); ++k) start[k + 1] += start[k];
+    std::vector<std::size_t> out(in.size());
+    for (const std::size_t i : in) out[start[static_cast<std::size_t>(keys[i])]++] = i;
+    return out;
+  };
+  std::vector<std::size_t> order(r.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  order = counting_sort(r, rows, counting_sort(c, cols, order));
+
   Csr out;
   out.rows = rows;
   out.cols = cols;
   out.row_ptr.assign(static_cast<std::size_t>(rows) + 1, 0);
-  out.col_idx.reserve(entries.size());
-  out.values.reserve(entries.size());
-  for (const auto& [key, value] : entries) {
-    ++out.row_ptr[static_cast<std::size_t>(key.first) + 1];
-    out.col_idx.push_back(key.second);
-    out.values.push_back(value);
+  out.col_idx.reserve(order.size());
+  out.values.reserve(order.size());
+  for (std::size_t k = 0; k < order.size();) {
+    const std::int32_t row = r[order[k]];
+    const std::int32_t col = c[order[k]];
+    // Sum a run of duplicates in input order, starting from 0 like a
+    // value-initialized accumulator.
+    float sum = 0.0f;
+    for (; k < order.size() && r[order[k]] == row && c[order[k]] == col; ++k) sum += v[order[k]];
+    ++out.row_ptr[static_cast<std::size_t>(row) + 1];
+    out.col_idx.push_back(col);
+    out.values.push_back(sum);
   }
   for (std::int64_t i = 0; i < rows; ++i) {
     out.row_ptr[static_cast<std::size_t>(i) + 1] += out.row_ptr[static_cast<std::size_t>(i)];

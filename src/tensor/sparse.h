@@ -20,7 +20,9 @@ struct Csr {
 
   [[nodiscard]] std::size_t Nnz() const noexcept { return col_idx.size(); }
 
-  /// Build from COO triplets (duplicates are summed).
+  /// Build from COO triplets: entries ordered by row, then column, with
+  /// duplicates summed in input order (a stable counting sort, O(nnz + rows
+  /// + cols)).
   [[nodiscard]] static Csr FromCoo(std::int64_t rows, std::int64_t cols,
                                    const std::vector<std::int32_t>& r,
                                    const std::vector<std::int32_t>& c,

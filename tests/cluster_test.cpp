@@ -30,6 +30,7 @@
 #include <mutex>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,8 +44,11 @@
 #include "cluster/wire.h"
 #include "cluster/worker.h"
 #include "core/plan_search.h"
+#include "core/stage_encodings.h"
 #include "fault/injector.h"
 #include "graph/fingerprint.h"
+#include "ir/resnet.h"
+#include "ir/stages.h"
 #include "serve/fallback.h"
 #include "serve/oracle.h"
 #include "serve/service.h"
@@ -974,6 +978,154 @@ TEST(ClusterE2E, MidFlightKillDegradesToFallbackWithFinitePlan) {
 std::uint64_t FingerprintOf(TrainedStack& stack, ir::StageSlice slice) {
   const graph::EncodedGraph& g = stack.search.EncodedFor(slice);
   return g.fingerprint != 0 ? g.fingerprint : graph::EncodedGraphFingerprint(g);
+}
+
+// ---- StageEncodings: one encoding per distinct stage graph ----
+// The suite lives with the cluster tests so the TSan lane, which runs them,
+// also covers the worker's store shared by its connection threads.
+
+template <typename T>
+void ExpectBitEqual(std::span<const T> got, std::span<const T> want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size_bytes()), 0) << what;
+}
+
+void ExpectCsrBitEqual(const tensor::Csr& got, const tensor::Csr& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.cols, want.cols);
+  EXPECT_EQ(got.row_ptr, want.row_ptr);
+  EXPECT_EQ(got.col_idx, want.col_idx);
+  ExpectBitEqual<float>(got.values, want.values, "csr values");
+}
+
+void ExpectEncodedBitEqual(const graph::EncodedGraph& got, const graph::EncodedGraph& want) {
+  EXPECT_EQ(got.num_nodes, want.num_nodes);
+  EXPECT_EQ(got.features.shape(), want.features.shape());
+  ExpectBitEqual<float>(got.features.data(), want.features.data(), "features");
+  EXPECT_EQ(got.dagra_mask.shape(), want.dagra_mask.shape());
+  ExpectBitEqual<float>(got.dagra_mask.data(), want.dagra_mask.data(), "dagra mask");
+  EXPECT_EQ(got.depths, want.depths);
+  ExpectCsrBitEqual(*got.adj_norm, *want.adj_norm);
+  ExpectCsrBitEqual(*got.adj_norm_t, *want.adj_norm_t);
+  EXPECT_EQ(got.edge_src, want.edge_src);
+  EXPECT_EQ(got.edge_dst, want.edge_dst);
+  EXPECT_EQ(got.fingerprint, want.fingerprint);
+}
+
+/// Encodes every slice of spans <= max_span through one store, checking each
+/// shared encoding against a fresh EncodeStage of the slice's program.
+/// Returns the number of distinct encodings the store made.
+std::size_t CheckSharedEncodings(const std::function<ir::StageProgram(ir::StageSlice)>& build,
+                                 std::int32_t num_layers, std::int32_t max_span) {
+  core::StageEncodings encodings;
+  const auto slices = ir::EnumerateStageSlices(num_layers, max_span);
+  for (const ir::StageSlice slice : slices) {
+    const ir::StageProgram program = build(slice);
+    const graph::EncodedGraph& shared =
+        encodings.For(slice, [&](ir::StageSlice) -> const ir::StageProgram& { return program; });
+    ExpectEncodedBitEqual(shared, core::EncodeStage(program));
+    // A repeat lookup is served from the slice index without a rebuild.
+    EXPECT_EQ(&encodings.For(slice,
+                             [](ir::StageSlice) -> ir::StageProgram {
+                               ADD_FAILURE() << "slice rebuilt";
+                               return {};
+                             }),
+              &shared);
+  }
+  return encodings.NumDistinct();
+}
+
+TEST(StageEncodings, Gpt3SlicesShareBitEqualEncodings) {
+  // 180 slices of spans <= 9 over 24 layers prune to 27 distinct DAGs.
+  EXPECT_EQ(CheckSharedEncodings(core::Gpt3Benchmark().build_stage, 24, 9), 27u);
+}
+
+TEST(StageEncodings, MoeSlicesShareBitEqualEncodings) {
+  // 297 slices of spans <= 11 over 32 layers prune to 44 distinct DAGs.
+  EXPECT_EQ(CheckSharedEncodings(core::MoeBenchmark().build_stage, 32, 11), 44u);
+}
+
+TEST(StageEncodings, WideResNetSlicesShareBitEqualEncodings) {
+  const ir::WideResNetConfig config;
+  const auto blocks = static_cast<std::int32_t>(config.num_blocks);
+  const std::size_t distinct = CheckSharedEncodings(
+      [&config](ir::StageSlice slice) { return ir::BuildWideResNetStage(config, slice); },
+      blocks, blocks);
+  EXPECT_GT(distinct, 0u);
+  EXPECT_LE(distinct, ir::EnumerateStageSlices(blocks, blocks).size());
+}
+
+TEST(StageEncodings, FingerprintCollisionsNeverShare) {
+  // Two DAGs that differ only in node index order have the same
+  // order-free fingerprint but are not equal, so they get separate entries.
+  const auto diamond = [](bool swap_branches) {
+    graph::OpDag dag;
+    graph::DagNode input{graph::NodeKind::kInput, 0, 1, {1, 1, 8, 16}};
+    graph::DagNode left{graph::NodeKind::kOperator, 3, 1, {1, 1, 8, 32}};
+    graph::DagNode right{graph::NodeKind::kOperator, 5, 1, {1, 1, 8, 16}};
+    graph::DagNode output{graph::NodeKind::kOutput, 0, 1, {1, 1, 8, 32}};
+    if (swap_branches) std::swap(left, right);
+    for (const graph::DagNode& node : {input, left, right, output}) dag.AddNode(node);
+    dag.AddEdge(0, 1);
+    dag.AddEdge(0, 2);
+    dag.AddEdge(1, 3);
+    dag.AddEdge(2, 3);
+    return dag;
+  };
+  // Swapping the branch payloads is a relabelling of nodes 1 and 2.
+  ASSERT_EQ(graph::DagFingerprint(diamond(false)), graph::DagFingerprint(diamond(true)));
+  ASSERT_NE(diamond(false), diamond(true));
+
+  core::StageEncodings encodings;
+  const graph::EncodedGraph& a = encodings.Share(diamond(false));
+  const graph::EncodedGraph& b = encodings.Share(diamond(true));
+  EXPECT_NE(&a, &b);
+  EXPECT_EQ(&encodings.Share(diamond(false)), &a);
+  EXPECT_EQ(&encodings.Share(diamond(true)), &b);
+  EXPECT_EQ(encodings.NumDistinct(), 2u);
+}
+
+TEST(StageEncodings, WorkerConnectionsShareOneStoreSafely) {
+  TrainedStack& stack = Stack();
+  LocalCluster cluster(stack.search.Benchmark(), stack.registry, Workers(1));
+
+  // Expected values and fingerprints from the in-process search, computed
+  // before any thread starts (PlanSearch::EncodedFor takes no lock).
+  std::vector<parallel::StageQuery> batch;
+  for (const parallel::StageQuery& query : stack.FullTable()) {
+    if (query.mesh == stack.search.Meshes()[0]) batch.push_back(query);
+  }
+  std::vector<std::uint64_t> fingerprints;
+  std::vector<double> expected;
+  for (const parallel::StageQuery& query : batch) {
+    fingerprints.push_back(stack.search.EncodedFor(query.slice).fingerprint);
+    expected.push_back(stack.Direct(query.slice, query.mesh).latency_s);
+  }
+
+  // One router (so one worker connection thread) per client thread: every
+  // thread's queries reach the worker's store concurrently.
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Router::Reply>> replies(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Router router(cluster.Endpoints(), {});
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      replies[t] = router.PredictMany(stack.keys[0], batch, fingerprints);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(replies[t].size(), batch.size());
+    for (std::size_t q = 0; q < batch.size(); ++q) {
+      ASSERT_TRUE(replies[t][q].ok);
+      EXPECT_EQ(replies[t][q].latency_s, expected[q]);
+    }
+  }
 }
 
 TEST(Deadline, WorkerShedsExpiredPredictBeforeAnyWork) {

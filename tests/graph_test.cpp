@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "graph/depth.h"
 #include "graph/encode.h"
+#include "graph/fingerprint.h"
 #include "graph/op_dag.h"
 #include "graph/prune.h"
 #include "graph/reachability.h"
@@ -55,6 +58,49 @@ TEST(OpDag, RejectsSelfLoopsAndBadIndices) {
   const auto a = dag.AddNode({});
   EXPECT_THROW(dag.AddEdge(a, a), std::invalid_argument);
   EXPECT_THROW(dag.AddEdge(a, 5), std::out_of_range);
+}
+
+/// Diamond with distinct payloads: input -> {matmul, add} -> output.
+OpDag PayloadDiamond(const std::vector<std::int32_t>& order = {0, 1, 2, 3}) {
+  const DagNode nodes[] = {
+      {NodeKind::kInput, 0, 1, {1, 1, 8, 16}},
+      {NodeKind::kOperator, 3, 1, {1, 1, 8, 32}},
+      {NodeKind::kOperator, 5, 1, {1, 1, 8, 16}},
+      {NodeKind::kOutput, 0, 1, {1, 1, 8, 32}},
+  };
+  // order[k] = original node placed at index k.
+  std::vector<std::int32_t> index(order.size());
+  OpDag dag;
+  for (const std::int32_t original : order) {
+    index[static_cast<std::size_t>(original)] = dag.AddNode(nodes[original]);
+  }
+  for (const auto& [u, v] : {std::pair{0, 1}, std::pair{0, 2}, std::pair{1, 3}, std::pair{2, 3}}) {
+    dag.AddEdge(index[static_cast<std::size_t>(u)], index[static_cast<std::size_t>(v)]);
+  }
+  return dag;
+}
+
+TEST(OpDag, EqualityIsExactStructureAndPayload) {
+  const OpDag base = PayloadDiamond();
+  EXPECT_EQ(base, PayloadDiamond());
+
+  // The same graph with two nodes swapped in index order: the order-free
+  // fingerprint collides, exact equality does not.
+  const OpDag permuted = PayloadDiamond({0, 2, 1, 3});
+  EXPECT_EQ(DagFingerprint(permuted), DagFingerprint(base));
+  EXPECT_NE(permuted, base);
+
+  OpDag extra_edge = PayloadDiamond();
+  extra_edge.AddEdge(1, 2);
+  EXPECT_NE(extra_edge, base);
+
+  OpDag changed_dims = PayloadDiamond();
+  changed_dims.Node(2).out_dims[3] = 17;
+  EXPECT_NE(changed_dims, base);
+
+  OpDag changed_kind = PayloadDiamond();
+  changed_kind.Node(0).kind = NodeKind::kLiteral;
+  EXPECT_NE(changed_kind, base);
 }
 
 TEST(OpDag, TopologicalOrderRespectsEdges) {
@@ -140,6 +186,44 @@ TEST(DagraMask, BlocksParallelBranches) {
   EXPECT_TRUE(std::isinf(mask.at(1, 2)));
   EXPECT_TRUE(std::isinf(mask.at(2, 1)));
   EXPECT_EQ(mask.at(0, 3), 0.0f);
+}
+
+TEST(ReachabilityClosure, ReverseIsTheTranspose) {
+  Rng rng(2);
+  for (const std::int32_t n : {24, 64, 130}) {
+    const OpDag dag = RandomDag(n, 0.12, rng);
+    const ReachabilityClosure forward(dag);
+    const ReachabilityClosure reverse(dag, ReachabilityClosure::Direction::kReverse);
+    for (std::int32_t u = 0; u < n; ++u) {
+      for (std::int32_t v = 0; v < n; ++v) {
+        ASSERT_EQ(reverse.Reaches(u, v), forward.Reaches(v, u)) << u << "<-" << v;
+      }
+    }
+  }
+}
+
+TEST(DagraMask, WordwiseMaskIsBitEqualToPairwiseDefinition) {
+  // The random DAGs of MatchesDfsOnRandomDags, plus sizes that end mid-word
+  // and span several 64-bit words.
+  Rng rng(2);
+  std::vector<OpDag> dags;
+  for (int trial = 0; trial < 5; ++trial) dags.push_back(RandomDag(24, 0.12, rng));
+  for (const std::int32_t n : {1, 63, 64, 65, 130}) dags.push_back(RandomDag(n, 0.05, rng));
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  for (const OpDag& dag : dags) {
+    const auto n = static_cast<std::int32_t>(dag.NumNodes());
+    const ReachabilityClosure closure(dag);
+    const tensor::Tensor mask = BuildDagraMask(dag);
+    ASSERT_EQ(mask.dim(0), n);
+    ASSERT_EQ(mask.dim(1), n);
+    for (std::int32_t u = 0; u < n; ++u) {
+      for (std::int32_t v = 0; v < n; ++v) {
+        const float want = closure.Reaches(u, v) || closure.Reaches(v, u) ? 0.0f : kNegInf;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(mask.at(u, v)), std::bit_cast<std::uint32_t>(want))
+            << "n=" << n << " " << u << "," << v;
+      }
+    }
+  }
 }
 
 TEST(FullAttentionMask, IsAllZero) {

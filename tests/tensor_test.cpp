@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <tuple>
 
 #include "tensor/ops.h"
@@ -233,6 +235,73 @@ TEST(Csr, TransposeTwiceIsIdentity) {
   EXPECT_EQ(a.col_idx, att.col_idx);
   for (std::size_t i = 0; i < a.values.size(); ++i) {
     EXPECT_FLOAT_EQ(a.values[i], att.values[i]);
+  }
+}
+
+/// Reference CSR build through an ordered map, summing duplicates in input
+/// order from a value-initialized accumulator.
+Csr ReferenceCsr(std::int64_t rows, std::int64_t cols, const std::vector<std::int32_t>& r,
+                 const std::vector<std::int32_t>& c, const std::vector<float>& v) {
+  std::map<std::pair<std::int32_t, std::int32_t>, float> entries;
+  for (std::size_t i = 0; i < r.size(); ++i) entries[{r[i], c[i]}] += v[i];
+  Csr out;
+  out.rows = rows;
+  out.cols = cols;
+  out.row_ptr.assign(static_cast<std::size_t>(rows) + 1, 0);
+  for (const auto& [key, value] : entries) {
+    ++out.row_ptr[static_cast<std::size_t>(key.first) + 1];
+    out.col_idx.push_back(key.second);
+    out.values.push_back(value);
+  }
+  for (std::size_t i = 0; i < static_cast<std::size_t>(rows); ++i) {
+    out.row_ptr[i + 1] += out.row_ptr[i];
+  }
+  return out;
+}
+
+void ExpectCsrBitEqual(const Csr& got, const Csr& want) {
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.cols, want.cols);
+  EXPECT_EQ(got.row_ptr, want.row_ptr);
+  EXPECT_EQ(got.col_idx, want.col_idx);
+  ASSERT_EQ(got.values.size(), want.values.size());
+  for (std::size_t i = 0; i < got.values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.values[i]),
+              std::bit_cast<std::uint32_t>(want.values[i]))
+        << "value " << i;
+  }
+}
+
+TEST(Csr, FromCooIsBitEqualToOrderedMapBuildOnRandomDuplicates) {
+  Rng rng(21);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto rows = static_cast<std::int64_t>(1 + rng.NextBelow(12));
+    const auto cols = static_cast<std::int64_t>(1 + rng.NextBelow(12));
+    const auto nnz = static_cast<std::size_t>(rng.NextBelow(4 * static_cast<std::uint64_t>(rows * cols)));
+    std::vector<std::int32_t> r, c;
+    std::vector<float> v;
+    for (std::size_t i = 0; i < nnz; ++i) {
+      // Small index ranges force many duplicates; mixed magnitudes and signed
+      // zeros make the summation order visible in the bits.
+      r.push_back(static_cast<std::int32_t>(rng.NextBelow(static_cast<std::uint64_t>(rows))));
+      c.push_back(static_cast<std::int32_t>(rng.NextBelow(static_cast<std::uint64_t>(cols))));
+      const std::uint64_t pick = rng.NextBelow(8);
+      v.push_back(pick == 0   ? -0.0f
+                  : pick == 1 ? static_cast<float>(rng.Normal()) * 1e7f
+                              : static_cast<float>(rng.Normal()));
+    }
+    const Csr a = Csr::FromCoo(rows, cols, r, c, v);
+    ExpectCsrBitEqual(a, ReferenceCsr(rows, cols, r, c, v));
+
+    std::vector<std::int32_t> tr, tc;
+    for (std::int64_t i = 0; i < a.rows; ++i) {
+      for (std::int64_t p = a.row_ptr[static_cast<std::size_t>(i)];
+           p < a.row_ptr[static_cast<std::size_t>(i) + 1]; ++p) {
+        tr.push_back(a.col_idx[static_cast<std::size_t>(p)]);
+        tc.push_back(static_cast<std::int32_t>(i));
+      }
+    }
+    ExpectCsrBitEqual(a.Transposed(), ReferenceCsr(cols, rows, tr, tc, a.values));
   }
 }
 
