@@ -3,11 +3,12 @@
 //  1. A headline comparison suite (runs first, always) that times the GEMM
 //     tiers (naive i-k-j vs packed vs packed+threads), arena vs malloc
 //     allocation, warm tape vs tape-free PredictSeconds on a real GPT-3
-//     stage graph, and the encode phase of a cold plan search (one
-//     EncodeStage per slice vs one structure-shared StageEncodings), and
-//     writes the results to BENCH_kernels.json (path
-//     overridable via PREDTOP_BENCH_JSON). PREDTOP_BENCH_SMOKE=1 shrinks
-//     repetitions so CI can exercise the harness in seconds.
+//     stage graph, the encode phase of a cold plan search (one
+//     EncodeStage per slice vs one structure-shared StageEncodings) and its
+//     forward phase (cold PredictBatch per mesh, serial vs fanned across a
+//     2- and a 4-worker pool), and writes the results to BENCH_kernels.json
+//     (path overridable via PREDTOP_BENCH_JSON). PREDTOP_BENCH_SMOKE=1
+//     shrinks repetitions so CI can exercise the harness in seconds.
 //  2. The google-benchmark registrations kept from the original harness
 //     (softmax, encoding, compilation, DP, forwards), skipped in smoke mode.
 
@@ -34,6 +35,7 @@
 #include "nn/infer.h"
 #include "parallel/inter_op.h"
 #include "parallel/intra_op.h"
+#include "sim/cluster.h"
 #include "tensor/arena.h"
 #include "tensor/ops.h"
 #include "util/env.h"
@@ -323,10 +325,82 @@ std::vector<EncodeSearchRow> RunEncodeSearch(bool smoke) {
   return rows;
 }
 
+struct PredictSearchRow {
+  std::string model;
+  std::int32_t max_span = 0;
+  std::size_t distinct = 0;
+  std::size_t meshes = 0;
+  double serial_s = 0.0;  // PredictBatch without a pool
+  double pool2_s = 0.0;   // shape groups fanned across a 2-worker pool
+  double pool4_s = 0.0;   // ... and a 4-worker pool
+};
+
+std::vector<PredictSearchRow> RunPredictSearch(bool smoke) {
+  // The forward phase of one cold plan search over the Fig. 10 models: one
+  // PredictBatch per mesh over the search's distinct stage graphs, on
+  // freshly made regressors (so every program builds inside the timed call)
+  // of the size the plan-search benchmark trains (DAG Transformer 2 x 16).
+  const std::pair<core::BenchmarkModel, std::int32_t> models[] = {
+      {core::Gpt3Benchmark(), 9}, {core::MoeBenchmark(), 11}};
+  const std::size_t meshes = sim::PaperMeshes(sim::Platform2()).size();
+  core::PredictorOptions options;
+  options.feature_dim = core::StageFeatureDim();
+  options.dagt_dim = 16;
+  options.dagt_layers = 2;
+  options.dagt_heads = 2;
+  const int reps = smoke ? 1 : 7;
+  util::ThreadPool pool2(2);
+  util::ThreadPool pool4(4);
+  compile::SetCompileEnabled(true);
+  std::vector<PredictSearchRow> rows;
+  for (const auto& [model, max_span] : models) {
+    core::StageEncodings encodings;
+    std::set<const graph::EncodedGraph*> seen;
+    std::vector<const graph::EncodedGraph*> distinct;
+    for (const ir::StageSlice slice : ir::EnumerateStageSlices(model.num_layers, max_span)) {
+      const graph::EncodedGraph& g = encodings.For(slice, model.build_stage);
+      if (seen.insert(&g).second) distinct.push_back(&g);
+    }
+    // Best of `reps` cold searches; the regressors are made outside the clock.
+    const auto cold = [&](util::ThreadPool* pool) {
+      double best = std::numeric_limits<double>::infinity();
+      for (int r = 0; r < reps; ++r) {
+        std::vector<core::LatencyRegressor> regressors;
+        for (std::size_t m = 0; m < meshes; ++m) {
+          regressors.emplace_back(core::PredictorKind::kDagTransformer, options);
+        }
+        util::Stopwatch timer;
+        for (core::LatencyRegressor& regressor : regressors) {
+          benchmark::DoNotOptimize(
+              regressor.PredictBatch(std::span<const graph::EncodedGraph* const>(distinct), pool));
+        }
+        best = std::min(best, timer.ElapsedSeconds());
+      }
+      return best;
+    };
+    PredictSearchRow row;
+    row.model = model.name;
+    row.max_span = max_span;
+    row.distinct = distinct.size();
+    row.meshes = meshes;
+    row.serial_s = cold(nullptr);
+    row.pool2_s = cold(&pool2);
+    row.pool4_s = cold(&pool4);
+    std::cerr << "[bench] cold forwards " << row.model << " (span <= " << max_span << "): "
+              << row.distinct << " distinct graphs x " << row.meshes << " meshes; serial "
+              << row.serial_s * 1e3 << " ms, 2-worker pool " << row.pool2_s * 1e3 << " ms ("
+              << row.serial_s / row.pool2_s << "x), 4-worker pool " << row.pool4_s * 1e3
+              << " ms (" << row.serial_s / row.pool4_s << "x)\n";
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
                const ArenaResult& arena, const PredictResult& predict,
                const std::vector<BatchRow>& batch,
-               const std::vector<EncodeSearchRow>& encode, bool smoke) {
+               const std::vector<EncodeSearchRow>& encode,
+               const std::vector<PredictSearchRow>& forwards, bool smoke) {
   std::ofstream out(path);
   out << "{\n  \"smoke\": " << (smoke ? "true" : "false") << ",\n  \"gemm\": [\n";
   for (std::size_t i = 0; i < gemm.size(); ++i) {
@@ -372,6 +446,17 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
         << ", \"per_slice_mask_mb\": " << row.per_slice_mask_mb
         << ", \"shared_mask_mb\": " << row.shared_mask_mb << "}"
         << (i + 1 < encode.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n  \"predict_search\": [\n";
+  for (std::size_t i = 0; i < forwards.size(); ++i) {
+    const PredictSearchRow& row = forwards[i];
+    out << "    {\"model\": \"" << row.model << "\", \"max_span\": " << row.max_span
+        << ", \"distinct_graphs\": " << row.distinct << ", \"meshes\": " << row.meshes
+        << ", \"serial_s\": " << row.serial_s << ", \"pool2_s\": " << row.pool2_s
+        << ", \"pool4_s\": " << row.pool4_s
+        << ", \"speedup_pool2\": " << row.serial_s / row.pool2_s
+        << ", \"speedup_pool4\": " << row.serial_s / row.pool4_s << "}"
+        << (i + 1 < forwards.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"gemm_threads\": " << tensor::GemmThreads() << "\n}\n";
   std::cerr << "[bench] wrote " << path << "\n";
@@ -507,7 +592,8 @@ int main(int argc, char** argv) {
   const PredictResult predict = RunPredictComparison(smoke);
   const std::vector<BatchRow> batch = RunBatchSweep(smoke);
   const std::vector<EncodeSearchRow> encode = RunEncodeSearch(smoke);
-  WriteJson(json_path, gemm, arena, predict, batch, encode, smoke);
+  const std::vector<PredictSearchRow> forwards = RunPredictSearch(smoke);
+  WriteJson(json_path, gemm, arena, predict, batch, encode, forwards, smoke);
   if (smoke) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -16,9 +16,11 @@
 #   ci/run.sh perf       additional -march=native build (build-native/), the
 #                        fast-path parity + tensor suites under it, and a
 #                        smoke micro_kernels run recording GEMM / arena /
-#                        warm-predict / batch speedups and the encode_search
+#                        warm-predict / batch speedups, the encode_search
 #                        row (per-slice vs structure-shared stage encoding of
-#                        a cold plan search) to build-native/BENCH_kernels.json
+#                        a cold plan search) and the predict_search row (its
+#                        cold forwards, serial vs on 2- and 4-worker pools)
+#                        to build-native/BENCH_kernels.json
 #   ci/run.sh train      training lane: the parallel-backward / trainer /
 #                        online-refresh suites plus a smoke train_throughput
 #                        run recording epoch time vs thread count (and
@@ -125,7 +127,10 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/nn_test --gtest_filter='ParallelTrainer.*'
   # Background fine-tune thread hot-swapping checkpoints under live serving.
   ./build-tsan/tests/online_test
-  ./build-tsan/tests/serve_test --gtest_filter='LruCache.*:Service.*:ServingOracle.PredictBatchMatchesScalarQueries:ThreadPool.*'
+  # The ServingOracle.FannedOut* tests run a plan search's per-mesh
+  # PredictMany calls, and their shape groups, concurrently on a 4-worker
+  # service pool.
+  ./build-tsan/tests/serve_test --gtest_filter='LruCache.*:Service.*:ServingOracle.PredictBatchMatchesScalarQueries:ServingOracle.FannedOut*:ThreadPool.*'
   # Concurrent tape-free forwards on one shared model (arena-per-thread,
   # lazy packed-weight cache) plus the parity suites that drive every fast
   # kernel at least once under TSan.
@@ -133,9 +138,12 @@ if [[ "${1:-}" == "tsan" ]]; then
   # Concurrent *compiled* forwards on one shared model: the program cache's
   # build-once-per-shape race, per-thread plan buffers, and the packed
   # weight snapshots under simultaneous readers — sequential and batched (the
-  # stacked executor's snapshot/cache/mask-run sharing across threads).
+  # stacked executor's snapshot/cache/mask-run sharing across threads) — and
+  # LatencyRegressor::PredictBatch's shape groups as concurrent pool tasks
+  # sharing one predictor's program cache, depth-encoding cache and Linear
+  # snapshots.
   ./build-tsan/tests/compile_test \
-    --gtest_filter='CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTapeAndFastPath'
+    --gtest_filter='CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTapeAndFastPath:CompiledParity.DepthEncodingCacheSeparatesNodeOrders:CompiledBatch.RegressorBatchFanOutMatchesPerGraphOnEveryPool'
   # Router concurrency: the cluster-wide coalescing map, per-worker
   # connection locking and failover counters under concurrent clients, the
   # worker's StageEncodings store shared by its connection threads, plus

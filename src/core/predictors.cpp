@@ -12,7 +12,6 @@
 #include "autograd/functions.h"
 #include "fault/status.h"
 #include "graph/depth.h"
-#include "graph/fingerprint.h"
 #include "graph/reachability.h"
 #include "nn/serialize.h"
 
@@ -197,7 +196,7 @@ class DagTransformerPredictor final : public StagePredictor {
     return b.Finish(t);
   }
 
-  /// Compiled-path externals: the DAGRA mask and the fingerprint-cached
+  /// Compiled-path externals: the DAGRA mask and the depth-keyed cached
   /// depth encoding (kept alive through `keepalive` for the call).
   void FillExecInputs(const graph::EncodedGraph& g, compile::ExecInputs& inputs,
                       std::shared_ptr<const tensor::Tensor>& keepalive) override {
@@ -230,24 +229,36 @@ class DagTransformerPredictor final : public StagePredictor {
   }
 
  private:
-  /// Depth positional encodings are pure functions of the graph topology, so
-  /// repeated predictions for the same DAG (the common case when searching
-  /// plans) reuse one tensor keyed by the graph fingerprint. The encoding is
-  /// computed outside the lock; the map only ever stores immutable tensors
-  /// behind shared_ptr, so readers are safe against a concurrent clear.
+  /// Depth positional encodings are pure functions of the per-node depth
+  /// vector, so repeated predictions for the same DAG (the common case when
+  /// searching plans) reuse one tensor. The cache is keyed by the depth
+  /// vector itself, in node order, so a hit is exact; an order-free key such
+  /// as the graph fingerprint would hand a DAG the rows of another node
+  /// order of the same graph. The encoding is computed outside the lock; the
+  /// map only ever stores immutable tensors behind shared_ptr, so readers
+  /// are safe against a concurrent clear.
   std::shared_ptr<const tensor::Tensor> CachedDepthEncoding(const graph::EncodedGraph& g) {
-    const std::uint64_t key = graph::EncodedGraphFingerprint(g);
     {
       std::lock_guard<std::mutex> lock(pe_mutex_);
-      const auto it = pe_cache_.find(key);
+      const auto it = pe_cache_.find(g.depths);
       if (it != pe_cache_.end()) return it->second;
     }
     auto pe = std::make_shared<const tensor::Tensor>(
         graph::SinusoidalEncoding(g.depths, options_.dagt_dim));
     std::lock_guard<std::mutex> lock(pe_mutex_);
     if (pe_cache_.size() >= kPeCacheCapacity) pe_cache_.clear();
-    return pe_cache_.try_emplace(key, std::move(pe)).first->second;
+    return pe_cache_.try_emplace(g.depths, std::move(pe)).first->second;
   }
+
+  struct DepthsHash {
+    std::size_t operator()(const std::vector<std::int32_t>& depths) const noexcept {
+      std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the depths in order
+      for (const std::int32_t d : depths) {
+        h = (h ^ static_cast<std::uint32_t>(d)) * 0x100000001b3ULL;
+      }
+      return static_cast<std::size_t>(h);
+    }
+  };
 
   static constexpr std::size_t kPeCacheCapacity = 1024;
 
@@ -257,7 +268,9 @@ class DagTransformerPredictor final : public StagePredictor {
   std::vector<std::unique_ptr<nn::DagTransformerLayer>> layers_;
   std::unique_ptr<nn::Mlp> head_;
   std::mutex pe_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const tensor::Tensor>> pe_cache_;
+  std::unordered_map<std::vector<std::int32_t>, std::shared_ptr<const tensor::Tensor>,
+                     DepthsHash>
+      pe_cache_;
 };
 
 /// GCN baseline (paper §VII-D): stacked GcnConv + ReLU, add pool, MLP head.

@@ -55,7 +55,7 @@ class StagePredictor : public nn::Module {
   [[nodiscard]] virtual autograd::Variable Forward(const graph::EncodedGraph& g) = 0;
 
   /// Tape-free prediction (same normalized scalar as Forward) running on
-  /// ctx's arena with cached packed weights and fingerprint-keyed per-graph
+  /// ctx's arena with cached packed weights and depth-keyed per-graph
   /// encodings. Mirrors Forward's kernels exactly; safe to call from many
   /// threads concurrently (one ctx per thread), but not concurrently with
   /// parameter mutation. The base implementation falls back to the autograd

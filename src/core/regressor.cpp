@@ -18,6 +18,7 @@
 #include "nn/serialize.h"
 #include "util/env.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace predtop::core {
 
@@ -229,15 +230,16 @@ double LatencyRegressor::PredictSecondsTape(const graph::EncodedGraph& g) {
   return std::max(1e-6, Denormalize(pred.value().data()[0]));
 }
 
-std::vector<double> LatencyRegressor::PredictBatch(std::span<const graph::EncodedGraph> graphs) {
+std::vector<double> LatencyRegressor::PredictBatch(std::span<const graph::EncodedGraph> graphs,
+                                                   util::ThreadPool* pool) {
   std::vector<const graph::EncodedGraph*> ptrs;
   ptrs.reserve(graphs.size());
   for (const graph::EncodedGraph& g : graphs) ptrs.push_back(&g);
-  return PredictBatch(std::span<const graph::EncodedGraph* const>(ptrs));
+  return PredictBatch(std::span<const graph::EncodedGraph* const>(ptrs), pool);
 }
 
 std::vector<double> LatencyRegressor::PredictBatch(
-    std::span<const graph::EncodedGraph* const> graphs) {
+    std::span<const graph::EncodedGraph* const> graphs, util::ThreadPool* pool) {
   std::vector<double> out(graphs.size(), 0.0);
   if (graphs.empty()) return out;
   if (!FastInferEnabled() || !compile::CompileEnabled()) {
@@ -247,20 +249,27 @@ std::vector<double> LatencyRegressor::PredictBatch(
 
   // Group by shape class — one compiled program serves one (nodes, edges)
   // pair — preserving arrival order within each group.
-  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<std::size_t>> groups;
+  std::map<std::pair<std::int64_t, std::int64_t>, std::vector<std::size_t>> by_shape;
   for (std::size_t i = 0; i < graphs.size(); ++i) {
-    groups[{graphs[i]->num_nodes,
-            static_cast<std::int64_t>(graphs[i]->edge_src.size())}]
+    by_shape[{graphs[i]->num_nodes, static_cast<std::int64_t>(graphs[i]->edge_src.size())}]
         .push_back(i);
   }
+  std::vector<const std::vector<std::size_t>*> groups;
+  groups.reserve(by_shape.size());
+  for (const auto& entry : by_shape) groups.push_back(&entry.second);
 
-  std::vector<const graph::EncodedGraph*> members;
-  std::vector<float> preds;
-  for (const auto& [shape, indices] : groups) {
-    members.clear();
+  // One task per group. Groups have distinct program-cache keys, so no
+  // program is built twice, and each task writes only its own `out` slots.
+  // A same-shape group's interleave nests on the same pool.
+  compile::BatchOptions opts;
+  opts.pool = pool;
+  const auto run_group = [&](std::size_t k) {
+    const std::vector<std::size_t>& indices = *groups[k];
+    std::vector<const graph::EncodedGraph*> members;
+    members.reserve(indices.size());
     for (const std::size_t i : indices) members.push_back(graphs[i]);
-    preds.assign(indices.size(), 0.0f);
-    if (model_->TryInferCompiledBatch(members.data(), members.size(), preds.data())) {
+    std::vector<float> preds(indices.size(), 0.0f);
+    if (model_->TryInferCompiledBatch(members.data(), members.size(), preds.data(), opts)) {
       for (std::size_t j = 0; j < indices.size(); ++j) {
         out[indices[j]] = std::max(1e-6, Denormalize(preds[j]));
       }
@@ -268,6 +277,11 @@ std::vector<double> LatencyRegressor::PredictBatch(
       // Shape class not compilable: per-graph fast path (same clamp).
       for (const std::size_t i : indices) out[i] = PredictSeconds(*graphs[i]);
     }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(groups.size(), run_group);
+  } else {
+    for (std::size_t k = 0; k < groups.size(); ++k) run_group(k);
   }
   return out;
 }

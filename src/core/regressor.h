@@ -16,6 +16,10 @@
 #include "core/predictors.h"
 #include "nn/trainer.h"
 
+namespace predtop::util {
+class ThreadPool;
+}  // namespace predtop::util
+
 namespace predtop::core {
 
 enum class TargetTransform { kLinearMeanScaled, kLogStandardized };
@@ -45,13 +49,18 @@ class LatencyRegressor {
   /// the compiled batch executor — program, weight snapshot, and plan
   /// resolved once per group (see compile::ExecuteBatch) — falling back to
   /// per-graph PredictSeconds when a group is not compilable or the
-  /// compiled path is disabled (PREDTOP_COMPILE=0). Results are bit-identical
-  /// to calling PredictSeconds per graph either way.
-  [[nodiscard]] std::vector<double> PredictBatch(std::span<const graph::EncodedGraph> graphs);
+  /// compiled path is disabled (PREDTOP_COMPILE=0). With a `pool`, the
+  /// groups run as concurrent tasks on it (the calling thread runs tasks
+  /// too) and a same-shape group's interleaved forwards nest on the same
+  /// pool; without one they run one after another on the calling thread.
+  /// Results are bit-identical to calling PredictSeconds per graph in every
+  /// case: each forward is one independent sequential execution.
+  [[nodiscard]] std::vector<double> PredictBatch(std::span<const graph::EncodedGraph> graphs,
+                                                 util::ThreadPool* pool = nullptr);
   /// Pointer-span overload (predtop::serve batches deduplicated queries that
   /// are not contiguous in memory).
   [[nodiscard]] std::vector<double> PredictBatch(
-      std::span<const graph::EncodedGraph* const> graphs);
+      std::span<const graph::EncodedGraph* const> graphs, util::ThreadPool* pool = nullptr);
 
   /// Mean relative error (%) vs the samples' true latencies (paper Eqn. 5).
   [[nodiscard]] double MrePercent(const StageDataset& dataset,

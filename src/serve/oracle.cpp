@@ -89,46 +89,61 @@ std::vector<parallel::StageLatencyResult> ServingOracle::PredictBatch(
     std::span<const parallel::StageQuery> queries) const {
   std::vector<parallel::StageLatencyResult> results(queries.size(),
                                                     parallel::StageLatencyResult{kInf, {}});
-  // Bucket resolvable queries per mesh model; the rest stay at +inf.
-  std::vector<std::vector<std::size_t>> by_mesh(meshes_.size());
+  struct Bucket {
+    std::vector<std::size_t> queries;
+    std::vector<const graph::EncodedGraph*> graphs;
+    std::vector<double> latencies;
+    bool failed = false;
+  };
+  // Phase 1, calling thread: bucket resolvable queries per mesh model and
+  // resolve their graphs (the encoder need not be thread-safe). The rest
+  // stay at +inf.
+  std::vector<Bucket> by_mesh(meshes_.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
     if (max_span_ > 0 && queries[q].slice.NumLayers() > max_span_) continue;
     for (std::size_t m = 0; m < meshes_.size(); ++m) {
       if (meshes_[m] == queries[q].mesh) {
-        by_mesh[m].push_back(q);
+        by_mesh[m].queries.push_back(q);
+        by_mesh[m].graphs.push_back(&encoder_(queries[q].slice));
         break;
       }
     }
   }
-  for (std::size_t m = 0; m < meshes_.size(); ++m) {
-    if (by_mesh[m].empty()) continue;
-    std::vector<const graph::EncodedGraph*> graphs;
-    graphs.reserve(by_mesh[m].size());
-    for (const std::size_t q : by_mesh[m]) graphs.push_back(&encoder_(queries[q].slice));
-    if (!Hardened()) {
-      queries_.fetch_add(by_mesh[m].size(), std::memory_order_relaxed);
-      const std::vector<double> latencies = service_.PredictMany(mesh_keys_[m], graphs);
-      for (std::size_t i = 0; i < by_mesh[m].size(); ++i) {
-        results[by_mesh[m][i]].latency_s = latencies[i];
-      }
-      continue;
-    }
-    // Hardened batch path: one PredictMany per bucket; a failed bucket (or
-    // any individual non-finite answer) is re-priced query-by-query down the
-    // scalar ladder. PredictOne counts those queries itself; only the
-    // batch-satisfied remainder is counted here.
-    std::vector<double> latencies;
-    bool batch_ok = true;
+
+  // Phase 2: one PredictMany per mesh model, concurrently on the service
+  // pool. Unhardened, the first failure propagates; hardened, each bucket
+  // records its own failure for phase 3 to re-price.
+  const bool hardened = Hardened();
+  const auto predict = [&](std::size_t m) {
+    Bucket& bucket = by_mesh[m];
+    if (bucket.queries.empty()) return;
     try {
-      latencies = service_.PredictMany(mesh_keys_[m], graphs);
+      bucket.latencies = service_.PredictMany(mesh_keys_[m], bucket.graphs);
     } catch (...) {
-      batch_ok = false;
+      if (!hardened) throw;
+      bucket.failed = true;
     }
-    for (std::size_t i = 0; i < by_mesh[m].size(); ++i) {
-      const std::size_t q = by_mesh[m][i];
-      if (batch_ok && std::isfinite(latencies[i])) {
+  };
+  if (util::ThreadPool* pool = service_.ForwardPool()) {
+    pool->ParallelFor(by_mesh.size(), predict);
+  } else {
+    for (std::size_t m = 0; m < by_mesh.size(); ++m) predict(m);
+  }
+
+  // Phase 3, calling thread: fill the table. Hardened, a failed bucket (or
+  // any individual non-finite answer) is re-priced query-by-query down the
+  // scalar ladder; PredictOne counts those queries itself, so only the
+  // batch-satisfied remainder is counted here.
+  for (std::size_t m = 0; m < by_mesh.size(); ++m) {
+    const Bucket& bucket = by_mesh[m];
+    for (std::size_t i = 0; i < bucket.queries.size(); ++i) {
+      const std::size_t q = bucket.queries[i];
+      if (!hardened) {
         queries_.fetch_add(1, std::memory_order_relaxed);
-        results[q] = {latencies[i], {}, false};
+        results[q].latency_s = bucket.latencies[i];
+      } else if (!bucket.failed && std::isfinite(bucket.latencies[i])) {
+        queries_.fetch_add(1, std::memory_order_relaxed);
+        results[q] = {bucket.latencies[i], {}, false};
       } else {
         results[q] = PredictOne(m, queries[q].slice, queries[q].mesh);
       }

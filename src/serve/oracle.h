@@ -69,14 +69,17 @@ class ServingOracle {
   [[nodiscard]] parallel::StageLatencyResult operator()(ir::StageSlice slice,
                                                         sim::Mesh mesh) const;
 
-  /// Answer a whole stage-latency table at once: queries are encoded on the
-  /// calling thread (the encoder may memoize and need not be thread-safe),
-  /// grouped per mesh model, and handed to PredictionService::PredictMany,
-  /// which dedupes repeated stages and fans the distinct misses across the
-  /// service pool. Unknown meshes / over-span slices yield +inf, exactly
-  /// like operator(). When degradation is configured, a bucket whose batch
-  /// call fails — and any individual non-finite answer — is re-priced
-  /// query-by-query down the ladder.
+  /// Answer a whole stage-latency table at once, in three phases. Queries
+  /// are grouped per mesh model and encoded on the calling thread (the
+  /// encoder may memoize and need not be thread-safe). The per-mesh
+  /// PredictionService::PredictMany calls, which dedupe repeated stages and
+  /// run the distinct misses' shape groups on the service pool, then run
+  /// concurrently on that pool (PredictionService::ForwardPool). Results
+  /// are filled on the calling thread. Unknown meshes / over-span slices
+  /// yield +inf, exactly like operator(). When degradation is configured, a
+  /// bucket whose batch call fails — and any individual non-finite answer —
+  /// is re-priced query-by-query down the ladder on the calling thread;
+  /// otherwise the first failure propagates.
   [[nodiscard]] std::vector<parallel::StageLatencyResult> PredictBatch(
       std::span<const parallel::StageQuery> queries) const;
 

@@ -144,8 +144,8 @@ std::vector<double> PredictionService::PredictMany(
   std::vector<double> distinct_values(distinct.size(), 0.0);
   if (compile::CompileEnabled() && core::LatencyRegressor::FastInferActive()) {
     // Batch-compiled path: all owned misses run through ONE PredictBatch
-    // call, which groups by shape class and amortizes program/snapshot/plan
-    // resolution per group (and one plan buffer serves the whole call).
+    // call, which groups by shape class, amortizes program/snapshot/plan
+    // resolution per group, and runs the groups on the service pool.
     PredictDistinctBatched(key, graphs, cache_keys, distinct, distinct_values,
                            deadline_us);
   } else {
@@ -163,6 +163,12 @@ std::vector<double> PredictionService::PredictMany(
     results[i] = distinct_values[first_of.at(cache_keys[i])];
   }
   return results;
+}
+
+util::ThreadPool* PredictionService::ForwardPool() noexcept {
+  // ParallelFor's caller runs tasks too, so even a 1-worker pool would put
+  // forwards on two threads; a one-thread service keeps them on the caller.
+  return pool_.ThreadCount() > 1 ? &pool_ : nullptr;
 }
 
 void PredictionService::PredictDistinctBatched(
@@ -238,7 +244,8 @@ void PredictionService::PredictDistinctBatched(
       miss_graphs.reserve(owned.size());
       for (const OwnedMiss& o : owned) miss_graphs.push_back(graphs[o.i]);
       const std::vector<double> values =
-          model->PredictBatch(std::span<const graph::EncodedGraph* const>(miss_graphs));
+          model->PredictBatch(std::span<const graph::EncodedGraph* const>(miss_graphs),
+                              ForwardPool());
       forwards_.fetch_add(owned.size(), std::memory_order_relaxed);
 
       auto& injector = fault::Injector::Global();

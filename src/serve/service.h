@@ -16,7 +16,7 @@
 //      concurrently across requests: each worker thread owns its arena
 //      (nn::ThreadLocalInferenceContext), the packed-weight caches are
 //      immutable snapshots swapped under a per-layer mutex, and the DAG
-//      Transformer's fingerprint-keyed positional-encoding cache takes a
+//      Transformer's depth-keyed positional-encoding cache takes a
 //      short per-model lock only around map lookup/insert (the encoding
 //      itself is computed outside the lock).
 //
@@ -48,7 +48,15 @@ namespace predtop::serve {
 struct ServiceOptions {
   std::size_t cache_capacity = 1 << 16;
   std::size_t cache_shards = 8;
-  /// Worker threads for PredictMany fan-out (0 = hardware_concurrency).
+  /// Worker threads of the service pool (0 = hardware_concurrency). With
+  /// more than one, PredictMany runs the compiled path's shape groups of
+  /// distinct misses as concurrent pool tasks (see core::LatencyRegressor::
+  /// PredictBatch) and ServingOracle::PredictBatch prices its per-mesh
+  /// buckets concurrently. ParallelFor's calling thread runs tasks too, so
+  /// a 1-worker pool would still spread forwards over two threads: with
+  /// threads = 1 the compiled path keeps them on the calling thread. (With
+  /// the compiled path off, PredictMany fans one forward per miss across
+  /// the pool at any size.)
   std::size_t threads = 1;
   /// Shed headroom for deadline-carrying queries: a forward is skipped (and
   /// the query fails typed kDeadlineExceeded) unless at least this many
@@ -93,9 +101,10 @@ class PredictionService {
                                std::uint64_t deadline_us = 0);
 
   /// Micro-batched query: duplicate stages inside the batch are predicted
-  /// once. Distinct misses run through one compiled batch call, or fan out
-  /// across the service pool when the compiled fast path is off. Returns
-  /// latencies parallel to `graphs`. A nonzero `deadline_us` sheds every
+  /// once. Distinct misses run through one compiled batch call whose shape
+  /// groups fan out across the service pool (ServiceOptions::threads > 1),
+  /// or one forward per miss on the pool when the compiled fast path is
+  /// off. Returns latencies parallel to `graphs`. A nonzero `deadline_us` sheds every
   /// not-yet-forwarded query once the deadline (minus the configured margin)
   /// passes; the batch fails as a whole with kDeadlineExceeded.
   [[nodiscard]] std::vector<double> PredictMany(
@@ -114,6 +123,9 @@ class PredictionService {
 
   [[nodiscard]] ModelRegistry& Registry() noexcept { return *registry_; }
   [[nodiscard]] util::ThreadPool& Pool() noexcept { return pool_; }
+  /// The pool forwards fan out on: Pool() when it has more than one worker,
+  /// else null (run on the calling thread). See ServiceOptions::threads.
+  [[nodiscard]] util::ThreadPool* ForwardPool() noexcept;
 
  private:
   [[nodiscard]] double PredictWithKey(const ModelKey& key, const graph::EncodedGraph& g,
@@ -122,9 +134,9 @@ class PredictionService {
 
   /// PredictMany's batch-compiled miss path: probe/shed/claim each distinct
   /// query, then run ALL owned misses through one LatencyRegressor::
-  /// PredictBatch call on the calling thread (one plan buffer per worker for
-  /// the whole call), fulfilling every promise with per-query cache-put,
-  /// fault-injection, and late accounting identical to PredictWithKey.
+  /// PredictBatch call on ForwardPool(), fulfilling every promise with
+  /// per-query cache-put, fault-injection, and late accounting identical to
+  /// PredictWithKey.
   void PredictDistinctBatched(const ModelKey& key,
                               std::span<const graph::EncodedGraph* const> graphs,
                               const std::vector<std::uint64_t>& cache_keys,

@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "compile/batch.h"
@@ -22,7 +27,12 @@
 #include "core/dataset.h"
 #include "core/predictors.h"
 #include "core/regressor.h"
+#include "core/stage_encodings.h"
+#include "graph/encode.h"
+#include "graph/fingerprint.h"
+#include "graph/op_dag.h"
 #include "ir/stages.h"
+#include "ir/types.h"
 #include "nn/infer.h"
 #include "nn/optimizer.h"
 #include "tensor/arena.h"
@@ -144,6 +154,59 @@ TEST(CompiledParity, MultipleShapeClassesCoexist) {
     const float compiled = CompiledScalar(*model, g);
     EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
         << "n=" << g.num_nodes;
+  }
+}
+
+/// Diamond input -> {matmul, add} -> output, with original node order[k]
+/// placed at index k: every order has the same order-free fingerprint, but
+/// the per-node depths follow the order.
+graph::EncodedGraph EncodedDiamond(const std::vector<std::int32_t>& order) {
+  const graph::DagNode nodes[] = {
+      {graph::NodeKind::kInput, 0, 1, {1, 1, 8, 16}},
+      {graph::NodeKind::kOperator, 3, 1, {1, 1, 8, 32}},
+      {graph::NodeKind::kOperator, 5, 1, {1, 1, 8, 16}},
+      {graph::NodeKind::kOutput, 0, 1, {1, 1, 8, 32}},
+  };
+  std::vector<std::int32_t> index(order.size());
+  graph::OpDag dag;
+  for (const std::int32_t original : order) {
+    index[static_cast<std::size_t>(original)] = dag.AddNode(nodes[original]);
+  }
+  for (const auto& [u, v] : {std::pair{0, 1}, std::pair{0, 2}, std::pair{1, 3}, std::pair{2, 3}}) {
+    dag.AddEdge(index[static_cast<std::size_t>(u)], index[static_cast<std::size_t>(v)]);
+  }
+  return graph::EncodeGraph(dag, ir::kNumOpTypes, ir::kNumDTypes);
+}
+
+TEST(CompiledParity, DepthEncodingCacheSeparatesNodeOrders) {
+  ScopedInferenceConfig guard;
+  const graph::EncodedGraph a = EncodedDiamond({0, 1, 2, 3});
+  const graph::EncodedGraph b = EncodedDiamond({0, 3, 1, 2});
+  ASSERT_EQ(a.depths, (std::vector<std::int32_t>{0, 1, 1, 2}));
+  ASSERT_EQ(b.depths, (std::vector<std::int32_t>{0, 2, 1, 1}));
+  ASSERT_EQ(graph::EncodedGraphFingerprint(a), graph::EncodedGraphFingerprint(b));
+  using Sequence = std::array<const graph::EncodedGraph*, 2>;
+  for (const bool compiled : {false, true}) {
+    for (const Sequence& sequence : {Sequence{&a, &b}, Sequence{&b, &a}}) {
+      // A fresh model per sequence, so its depth-encoding cache starts empty
+      // and the second graph is predicted after the first one's entry exists.
+      auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
+      for (const graph::EncodedGraph* g : sequence) {
+        const float tape = model->Forward(*g).value().data()[0];
+        float got = 0.0f;
+        if (compiled) {
+          got = CompiledScalar(*model, *g);
+        } else {
+          compile::SetCompileEnabled(false);
+          got = model->InferScalar(*g, nn::ThreadLocalInferenceContext());
+          compile::SetCompileEnabled(true);
+        }
+        EXPECT_LE(std::abs(got - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
+            << (compiled ? "compiled" : "fast") << " depths[1]=" << g->depths[1]
+            << " first=" << (sequence[0] == &a ? "a" : "b") << ": tape=" << tape
+            << " got=" << got;
+      }
+    }
   }
 }
 
@@ -504,6 +567,78 @@ TEST(CompiledBatch, RegressorBatchMatchesSequentialAcrossShapes) {
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(by_ptr[i], expected[expected.size() - 1 - i])
           << regressor.Model().Name() << " reversed i=" << i;
+    }
+  }
+}
+
+/// The distinct pruned stage DAGs of the two cold Fig. 10 plan searches,
+/// one store per search: GPT-3 slices of spans <= 9 (27 graphs) and MoE
+/// slices of spans <= 11 (44), in first-seen order. Nearly every one is its
+/// own shape class.
+const std::vector<const graph::EncodedGraph*>& SearchDistinctGraphs() {
+  static StageEncodings encodings[2];
+  static const std::vector<const graph::EncodedGraph*> graphs = [] {
+    const std::pair<BenchmarkModel, std::int32_t> searches[] = {{Gpt3Benchmark(), 9},
+                                                                {MoeBenchmark(), 11}};
+    std::vector<const graph::EncodedGraph*> out;
+    std::set<const graph::EncodedGraph*> seen;
+    for (std::size_t s = 0; s < 2; ++s) {
+      const auto& [benchmark, span] = searches[s];
+      for (const ir::StageSlice slice : ir::EnumerateStageSlices(benchmark.num_layers, span)) {
+        const graph::EncodedGraph& g = encodings[s].For(slice, benchmark.build_stage);
+        if (seen.insert(&g).second) out.push_back(&g);
+      }
+    }
+    return out;
+  }();
+  return graphs;
+}
+
+TEST(CompiledBatch, RegressorBatchFanOutMatchesPerGraphOnEveryPool) {
+  ScopedInferenceConfig guard;
+  // The search's distinct graphs plus same-shape copies that join a group:
+  // three of the 4-node diamond, whose forward is too small to interleave
+  // (stacked), and three of the largest search graph (interleaved).
+  std::vector<const graph::EncodedGraph*> graphs = SearchDistinctGraphs();
+  ASSERT_EQ(graphs.size(), 27u + 44u);
+  const graph::EncodedGraph* largest = *std::ranges::max_element(
+      graphs, {}, [](const graph::EncodedGraph* g) { return g->num_nodes; });
+  const std::vector<graph::EncodedGraph> diamonds =
+      DistinctSameShapeBatch(EncodedDiamond({0, 1, 2, 3}), 3);
+  const std::vector<graph::EncodedGraph> copies = DistinctSameShapeBatch(*largest, 4);
+  for (const auto& g : diamonds) graphs.push_back(&g);
+  for (std::size_t q = 1; q < copies.size(); ++q) graphs.push_back(&copies[q]);
+
+  LatencyRegressor reference(PredictorKind::kDagTransformer, TinyOptions());
+  std::vector<double> expected;
+  for (const graph::EncodedGraph* g : graphs) expected.push_back(reference.PredictSeconds(*g));
+
+  for (const std::size_t threads : {0, 1, 2, 4}) {
+    std::optional<util::ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    // A fresh regressor (same seed, so the same weights): every program is
+    // built inside the fanned-out call, concurrently across groups.
+    LatencyRegressor regressor(PredictorKind::kDagTransformer, TinyOptions());
+    const std::uint64_t builds0 = compile::ProgramCache::Global().Misses();
+    const std::uint64_t batched0 = compile::BatchedForwards();
+    const std::uint64_t interleaved0 = compile::InterleavedForwards();
+    const std::vector<double> got = regressor.PredictBatch(
+        std::span<const graph::EncodedGraph* const>(graphs), pool ? &*pool : nullptr);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(got[i], expected[i]) << "threads=" << threads << " i=" << i;
+    }
+    const std::uint64_t batched = compile::BatchedForwards() - batched0;
+    const std::uint64_t interleaved = compile::InterleavedForwards() - interleaved0;
+    EXPECT_EQ(batched + interleaved, graphs.size()) << "threads=" << threads;
+    // One build per shape class: the diamonds' and the search graphs' own.
+    std::set<std::pair<std::int64_t, std::size_t>> shapes;
+    for (const graph::EncodedGraph* g : graphs) shapes.emplace(g->num_nodes, g->edge_src.size());
+    EXPECT_EQ(compile::ProgramCache::Global().Misses() - builds0, shapes.size())
+        << "threads=" << threads;
+    if (pool) {
+      EXPECT_GE(batched, diamonds.size()) << "threads=" << threads;
+      EXPECT_GE(interleaved, copies.size()) << "threads=" << threads;
     }
   }
 }

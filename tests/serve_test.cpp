@@ -11,11 +11,13 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "compile/batch.h"
+#include "compile/cache.h"
 #include "compile/program.h"
 #include "core/plan_search.h"
 #include "fault/injector.h"
@@ -24,6 +26,7 @@
 #include "graph/fingerprint.h"
 #include "ir/stages.h"
 #include "nn/linear.h"
+#include "serve/fallback.h"
 #include "serve/lru_cache.h"
 #include "serve/oracle.h"
 #include "serve/service.h"
@@ -761,6 +764,135 @@ TEST(ServingOracle, PredictBatchMatchesScalarQueries) {
     EXPECT_EQ(again[q].latency_s, batch[q].latency_s);
   }
   EXPECT_EQ(service.Stats().forwards, 3u);  // all cache hits the second time
+}
+
+// ---- the oracle's per-mesh fan-out on a multi-thread service ----
+
+/// A cold Fig. 10 plan search on Platform 2 (GPT-3 spans <= 9 or MoE spans
+/// <= 11), with every slice encoded up front.
+core::PlanSearch MakeFanOutSearch(core::BenchmarkModel benchmark, std::int32_t max_span) {
+  core::PlanSearchConfig config;
+  config.max_span = max_span;
+  core::PlanSearch search(std::move(benchmark), sim::Platform2(), config);
+  for (const ir::StageSlice slice :
+       ir::EnumerateStageSlices(search.Benchmark().num_layers, search.EffectiveMaxSpan())) {
+    (void)search.EncodedFor(slice);
+  }
+  return search;
+}
+
+/// Every (slice, mesh) cell the search's DP can ask for.
+std::vector<parallel::StageQuery> FullTable(core::PlanSearch& search) {
+  std::vector<parallel::StageQuery> queries;
+  for (const ir::StageSlice slice :
+       ir::EnumerateStageSlices(search.Benchmark().num_layers, search.EffectiveMaxSpan())) {
+    for (const sim::Mesh mesh : search.Meshes()) queries.push_back({slice, mesh});
+  }
+  return queries;
+}
+
+/// A fresh registry of untrained per-mesh DAG Transformers (a distinct seed
+/// per mesh, so the meshes price differently) behind a `threads`-worker
+/// service, with the model of mesh `missing` left unregistered.
+struct FanOutServing {
+  FanOutServing(core::PlanSearch& search, std::size_t threads,
+                ServingOracleOptions options = {},
+                std::size_t missing = std::numeric_limits<std::size_t>::max())
+      : registry(std::make_shared<ModelRegistry>()) {
+    std::vector<ModelKey> keys;
+    for (std::size_t m = 0; m < search.Meshes().size(); ++m) {
+      ModelKey key{search.Benchmark().name, "platform2", search.Meshes()[m], {}};
+      core::PredictorOptions predictor = TinyOptions();
+      predictor.seed += m;
+      if (m != missing) {
+        registry->Register(key, std::make_shared<core::LatencyRegressor>(
+                                    core::PredictorKind::kDagTransformer, predictor));
+      }
+      keys.push_back(std::move(key));
+    }
+    ServiceOptions service_options;
+    service_options.threads = threads;
+    service.emplace(registry, service_options);
+    oracle.emplace(
+        *service, search.Meshes(), keys,
+        [&search](ir::StageSlice s) -> const graph::EncodedGraph& { return search.EncodedFor(s); },
+        search.EffectiveMaxSpan(), std::move(options));
+  }
+
+  std::shared_ptr<ModelRegistry> registry;
+  std::optional<PredictionService> service;
+  std::optional<ServingOracle> oracle;
+};
+
+TEST(ServingOracle, FannedOutSearchMatchesOneThreadBitExact) {
+  for (auto [benchmark, span] : {std::pair{core::Gpt3Benchmark(), 9},
+                                 std::pair{core::MoeBenchmark(), 11}}) {
+    core::PlanSearch search = MakeFanOutSearch(std::move(benchmark), span);
+    const parallel::InterOpOptimizer optimizer = search.MakeOptimizer();
+    struct Leg {
+      parallel::PipelinePlan plan;
+      std::uint64_t forwards = 0;
+      std::uint64_t programs_built = 0;
+    };
+    const auto run = [&](std::size_t threads) {
+      FanOutServing serving(search, threads);
+      const std::uint64_t builds0 = compile::ProgramCache::Global().Misses();
+      Leg leg;
+      leg.plan = optimizer.Optimize(serving.oracle->AsBatchOracle());
+      leg.programs_built = compile::ProgramCache::Global().Misses() - builds0;
+      leg.forwards = serving.service->Stats().forwards;
+      return leg;
+    };
+    const Leg serial = run(1);
+    const Leg fanned = run(4);
+    const std::string name = search.Benchmark().name;
+    ASSERT_TRUE(serial.plan.Valid()) << name;
+    EXPECT_EQ(fanned.plan.iteration_latency_s, serial.plan.iteration_latency_s) << name;
+    ASSERT_EQ(fanned.plan.stages.size(), serial.plan.stages.size()) << name;
+    for (std::size_t i = 0; i < serial.plan.stages.size(); ++i) {
+      EXPECT_EQ(fanned.plan.stages[i].slice.first_layer, serial.plan.stages[i].slice.first_layer);
+      EXPECT_EQ(fanned.plan.stages[i].slice.last_layer, serial.plan.stages[i].slice.last_layer);
+      EXPECT_EQ(fanned.plan.stages[i].mesh, serial.plan.stages[i].mesh);
+      EXPECT_EQ(fanned.plan.stages[i].latency_s, serial.plan.stages[i].latency_s);
+    }
+    EXPECT_GT(serial.forwards, 0u) << name;
+    EXPECT_EQ(fanned.forwards, serial.forwards) << name;
+    EXPECT_EQ(fanned.programs_built, serial.programs_built) << name;
+  }
+}
+
+TEST(ServingOracle, FannedOutBatchDegradesOnlyTheFailedMesh) {
+  core::PlanSearch search = MakeFanOutSearch(core::Gpt3Benchmark(), 9);
+  const std::vector<parallel::StageQuery> table = FullTable(search);
+  constexpr std::size_t kMissing = 1;
+  ServingOracleOptions hardened;
+  hardened.fallback = std::make_shared<FallbackOracle>(
+      sim::Platform2().device,
+      [&search](ir::StageSlice s) -> const ir::StageProgram& { return search.ProgramFor(s); });
+
+  FanOutServing serial(search, 1);
+  const std::vector<parallel::StageLatencyResult> want = serial.oracle->PredictBatch(table);
+  FanOutServing fanned(search, 4, hardened, kMissing);
+  const std::vector<parallel::StageLatencyResult> got = fanned.oracle->PredictBatch(table);
+  ASSERT_EQ(got.size(), table.size());
+  std::size_t degraded = 0;
+  for (std::size_t q = 0; q < table.size(); ++q) {
+    if (table[q].mesh == search.Meshes()[kMissing]) {
+      const parallel::StageLatencyResult fallback =
+          hardened.fallback->Estimate(table[q].slice, table[q].mesh);
+      EXPECT_TRUE(got[q].degraded) << "q=" << q;
+      EXPECT_EQ(got[q].latency_s, fallback.latency_s) << "q=" << q;
+      ++degraded;
+    } else {
+      EXPECT_FALSE(got[q].degraded) << "q=" << q;
+      EXPECT_EQ(got[q].latency_s, want[q].latency_s) << "q=" << q;
+    }
+  }
+  EXPECT_EQ(fanned.oracle->Stats().degraded, degraded);
+
+  // Unhardened, the failed mesh's exception reaches the caller.
+  FanOutServing plain(search, 4, {}, kMissing);
+  EXPECT_THROW((void)plain.oracle->PredictBatch(table), std::runtime_error);
 }
 
 }  // namespace
