@@ -27,10 +27,11 @@
 // degraded-query fraction. PREDTOP_FAULT overrides the injected spec;
 // PREDTOP_FAULT_SEED replays a specific decision sequence.
 //
-// PREDTOP_COMPILE_DRILL=1 runs the plan search with compiled inference
-// programs disabled then enabled on both paper platforms and asserts the
-// chosen plans are equal — the compiled path must change latency, never
-// predictions (within the 1e-6 fp32 parity contract).
+// PREDTOP_COMPILE_DRILL=1 prices the plan search through the compiled
+// inference programs and through the autograd tape on both paper platforms
+// (both warmed, alternating order, median of three timed runs each) and
+// asserts the chosen plans are equal — the compiled path must change
+// latency, never predictions (within the 1e-6 fp32 parity contract).
 //
 // PREDTOP_BATCH_DRILL=1 runs the plan search through the per-query oracle
 // (one sequential compiled forward per stage query) then through the batch
@@ -44,8 +45,11 @@
 #include <cmath>
 #include <filesystem>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -153,12 +157,41 @@ void RunServingMode(const core::BenchmarkModel& benchmark, const sim::ClusterSpe
             << "x vs serial cold\n\n";
 }
 
-// Compile drill: the same plan search twice on one platform — compiled
-// inference programs disabled, then enabled — asserting the two plans are
-// equal (same stage slices and meshes, iteration latency within the
-// documented 1e-6-per-forward parity contract) and that the compiled path
-// actually engaged (programs were built into the global cache). Returns
-// true when the plans agree.
+/// Whether two plans pick the same stage slices on the same meshes.
+bool SameStages(const parallel::PipelinePlan& a, const parallel::PipelinePlan& b) {
+  if (!a.Valid() || !b.Valid() || a.stages.size() != b.stages.size()) return false;
+  for (std::size_t i = 0; i < a.stages.size(); ++i) {
+    if (!(a.stages[i].mesh == b.stages[i].mesh) ||
+        a.stages[i].slice.first_layer != b.stages[i].slice.first_layer ||
+        a.stages[i].slice.last_layer != b.stages[i].slice.last_layer) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void PrintStages(std::ostream& out, const char* label, const parallel::PipelinePlan& plan) {
+  out << label;
+  for (const parallel::PipelineStageChoice& stage : plan.stages) {
+    out << " [layers " << stage.slice.first_layer << "-" << stage.slice.last_layer << " on "
+        << stage.mesh.NumDevices() << " devices]";
+  }
+  out << "\n";
+}
+
+// Compile drill: the same plan search priced two ways on one platform —
+// through the prediction service (compiled programs, batch oracle) and
+// through LatencyRegressor::PredictSecondsTape (the autograd reference) —
+// asserting the two plans are equal (same stage slices and meshes,
+// iteration latency within the documented 1e-6-per-forward parity contract)
+// and that the compiled path actually engaged (programs were built into the
+// global cache). Both legs run once untimed to warm up (weight packs,
+// programs, depth encodings), then kCompileDrillReps timed times each in
+// alternating order; the table reports each leg's median. Both legs run on
+// the calling thread (a one-thread service), so the timing compares the two
+// forward paths, not thread counts. Returns true when the plans agree.
+constexpr int kCompileDrillReps = 3;
+
 bool RunCompileDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec& cluster,
                      const std::string& platform_label, std::int32_t max_span,
                      const bench::GridConfig& grid) {
@@ -172,9 +205,7 @@ bool RunCompileDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSp
   auto registry = std::make_shared<serve::ModelRegistry>();
   const std::vector<serve::ModelKey> keys = serve::RegisterMeshPredictors(
       *registry, benchmark.name, platform_label, search.Meshes(), trained);
-  serve::ServiceOptions service_options;
-  service_options.threads = 0;
-  serve::PredictionService service(registry, service_options);
+  serve::PredictionService service(registry);
   const serve::ServingOracle oracle(
       service, search.Meshes(), keys,
       [&search](ir::StageSlice s) -> const graph::EncodedGraph& {
@@ -183,50 +214,70 @@ bool RunCompileDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSp
       search.EffectiveMaxSpan());
   const parallel::InterOpOptimizer optimizer = search.MakeOptimizer();
 
-  compile::SetCompileEnabled(false);
-  util::Stopwatch off_watch;
-  const parallel::PipelinePlan plan_off = optimizer.Optimize(oracle.AsBatchOracle());
-  const double off_s = off_watch.ElapsedSeconds();
-
-  // Fresh caches so the compiled pass builds its programs and answers every
-  // query through them rather than replaying fingerprint-cached results.
-  service.ClearCache();
-  compile::ProgramCache::Global().Clear();
-  compile::SetCompileEnabled(true);
-  util::Stopwatch on_watch;
-  const parallel::PipelinePlan plan_on = optimizer.Optimize(oracle.AsBatchOracle());
-  const double on_s = on_watch.ElapsedSeconds();
-  const std::size_t programs = compile::ProgramCache::Global().Size();
-
-  bool structural = plan_on.Valid() && plan_off.Valid() &&
-                    plan_on.stages.size() == plan_off.stages.size();
-  if (structural) {
-    for (std::size_t i = 0; i < plan_on.stages.size(); ++i) {
-      if (!(plan_on.stages[i].mesh == plan_off.stages[i].mesh) ||
-          plan_on.stages[i].slice.first_layer != plan_off.stages[i].slice.first_layer ||
-          plan_on.stages[i].slice.last_layer != plan_off.stages[i].slice.last_layer) {
-        structural = false;
-        break;
+  // Compiled leg. The prediction cache is cleared per run so every distinct
+  // stage pays a real forward; the programs stay built after the warm-up.
+  const auto compiled_leg = [&] {
+    service.ClearCache();
+    return optimizer.Optimize(oracle.AsBatchOracle());
+  };
+  // Tape leg: one PredictSecondsTape forward per distinct (stage graph,
+  // mesh), memoized per run the way the service's cache dedupes repeats.
+  const std::int32_t span = search.EffectiveMaxSpan();
+  const auto tape_leg = [&] {
+    std::map<std::pair<const graph::EncodedGraph*, std::size_t>, double> memo;
+    return optimizer.Optimize([&](ir::StageSlice slice, sim::Mesh mesh) {
+      if (slice.NumLayers() > span) {
+        return parallel::StageLatencyResult{std::numeric_limits<double>::infinity(), {}};
       }
+      for (std::size_t m = 0; m < search.Meshes().size(); ++m) {
+        if (!(search.Meshes()[m] == mesh)) continue;
+        const graph::EncodedGraph& g = search.EncodedFor(slice);
+        const auto [it, fresh] = memo.try_emplace({&g, m}, 0.0);
+        if (fresh) it->second = trained.per_mesh[m]->PredictSecondsTape(g);
+        return parallel::StageLatencyResult{it->second, {}};
+      }
+      return parallel::StageLatencyResult{std::numeric_limits<double>::infinity(), {}};
+    });
+  };
+
+  compile::ProgramCache::Global().Clear();
+  const parallel::PipelinePlan plan_compiled = compiled_leg();
+  const std::size_t programs = compile::ProgramCache::Global().Size();
+  const parallel::PipelinePlan plan_tape = tape_leg();
+
+  std::vector<double> compiled_s;
+  std::vector<double> tape_s;
+  for (int rep = 0; rep < kCompileDrillReps; ++rep) {
+    for (int leg = 0; leg < 2; ++leg) {
+      const bool compiled = (leg == 0) == (rep % 2 == 0);
+      util::Stopwatch watch;
+      (void)(compiled ? compiled_leg() : tape_leg());
+      (compiled ? compiled_s : tape_s).push_back(watch.ElapsedSeconds());
     }
   }
+
+  const bool structural = SameStages(plan_compiled, plan_tape);
   const double lat_gap =
-      std::abs(plan_on.iteration_latency_s - plan_off.iteration_latency_s);
+      std::abs(plan_compiled.iteration_latency_s - plan_tape.iteration_latency_s);
   const bool latency_ok =
-      lat_gap <= 1e-4 * std::max(1.0, std::abs(plan_off.iteration_latency_s));
+      lat_gap <= 1e-4 * std::max(1.0, std::abs(plan_tape.iteration_latency_s));
   const bool ok = structural && latency_ok && programs > 0;
 
-  util::TablePrinter table({"pass", "optimize wall", "plan latency", "plan equal"});
+  util::TablePrinter table({"leg", "optimize wall (median)", "plan latency", "plan equal"});
   table.SetTitle("Fig. 10 compile drill — " + benchmark.name + " on " + platform_label +
-                 " (PREDTOP_COMPILE off vs on)");
-  table.AddRow({"compile off", util::FormatSeconds(off_s),
-                util::FormatSeconds(plan_off.iteration_latency_s), "reference"});
-  table.AddRow({"compile on", util::FormatSeconds(on_s),
-                util::FormatSeconds(plan_on.iteration_latency_s),
-                ok ? "yes" : "NO"});
+                 " (compiled vs tape, median of " + std::to_string(kCompileDrillReps) +
+                 " warm runs)");
+  table.AddRow({"tape", util::FormatSeconds(util::Percentile(tape_s, 50.0)),
+                util::FormatSeconds(plan_tape.iteration_latency_s), "reference"});
+  table.AddRow({"compiled", util::FormatSeconds(util::Percentile(compiled_s, 50.0)),
+                util::FormatSeconds(plan_compiled.iteration_latency_s), ok ? "yes" : "NO"});
   table.Print(std::cout);
   std::cout << "compiled programs built: " << programs
             << "; plan latency gap: " << lat_gap << " s\n\n";
+  if (!structural) {
+    PrintStages(std::cout, "tape plan:    ", plan_tape);
+    PrintStages(std::cout, "compiled plan:", plan_compiled);
+  }
   if (!ok) {
     std::cerr << "[bench] compile drill " << platform_label
               << ": structural=" << structural << " latency_ok=" << latency_ok
@@ -265,7 +316,6 @@ bool RunBatchDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec
       search.EffectiveMaxSpan());
   const parallel::InterOpOptimizer optimizer = search.MakeOptimizer();
 
-  compile::SetCompileEnabled(true);
   util::Stopwatch off_watch;
   const parallel::PipelinePlan plan_off = optimizer.Optimize(oracle.AsOracle());
   const double off_s = off_watch.ElapsedSeconds();
@@ -282,18 +332,7 @@ bool RunBatchDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec
   const std::uint64_t batch_queries =
       compile::BatchedForwards() + compile::InterleavedForwards() - batch_queries_before;
 
-  bool structural = plan_on.Valid() && plan_off.Valid() &&
-                    plan_on.stages.size() == plan_off.stages.size();
-  if (structural) {
-    for (std::size_t i = 0; i < plan_on.stages.size(); ++i) {
-      if (!(plan_on.stages[i].mesh == plan_off.stages[i].mesh) ||
-          plan_on.stages[i].slice.first_layer != plan_off.stages[i].slice.first_layer ||
-          plan_on.stages[i].slice.last_layer != plan_off.stages[i].slice.last_layer) {
-        structural = false;
-        break;
-      }
-    }
-  }
+  const bool structural = SameStages(plan_on, plan_off);
   // Bit-equality, not a tolerance: the batch executors are exact.
   const bool latency_ok =
       plan_on.iteration_latency_s == plan_off.iteration_latency_s;
@@ -601,7 +640,7 @@ int main() {
                      : "cluster mode FAILED\n");
     return ok ? 0 : 1;
   }
-  // PREDTOP_COMPILE_DRILL=1 runs only the compiled-vs-uncompiled plan
+  // PREDTOP_COMPILE_DRILL=1 runs only the compiled-vs-tape plan
   // comparison on both paper platforms and exits non-zero if the plans
   // diverge or the compiled path never engaged.
   if (util::EnvBool("PREDTOP_COMPILE_DRILL", false)) {
@@ -609,7 +648,7 @@ int main() {
                               grid.gpt_max_span, grid);
     ok &= RunCompileDrill(bench::PaperGpt3(), sim::Platform2(), "platform2",
                           grid.gpt_max_span, grid);
-    std::cout << (ok ? "compile drill PASSED: compiled and uncompiled searches chose "
+    std::cout << (ok ? "compile drill PASSED: compiled and tape searches chose "
                        "equal plans on both platforms\n"
                      : "compile drill FAILED\n");
     return ok ? 0 : 1;

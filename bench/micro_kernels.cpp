@@ -1,9 +1,8 @@
 // Microbenchmarks for the performance-critical kernels. Two layers:
 //
 //  1. A headline comparison suite (runs first, always) that times the GEMM
-//     tiers (naive i-k-j vs packed vs packed+threads), arena vs malloc
-//     allocation, warm tape vs tape-free PredictSeconds on a real GPT-3
-//     stage graph, the encode phase of a cold plan search (one
+//     tiers (naive i-k-j vs packed vs packed+threads), warm tape vs compiled
+//     PredictSeconds on a real GPT-3 stage graph, the encode phase of a cold plan search (one
 //     EncodeStage per slice vs one structure-shared StageEncodings) and its
 //     forward phase (cold PredictBatch per mesh, serial vs fanned across a
 //     2- and a 4-worker pool), and writes the results to BENCH_kernels.json
@@ -24,7 +23,6 @@
 #include <vector>
 
 #include "compile/batch.h"
-#include "compile/cache.h"
 #include "core/dataset.h"
 #include "core/predictors.h"
 #include "core/regressor.h"
@@ -32,11 +30,9 @@
 #include "graph/reachability.h"
 #include "ir/stages.h"
 #include "ir/to_dag.h"
-#include "nn/infer.h"
 #include "parallel/inter_op.h"
 #include "parallel/intra_op.h"
 #include "sim/cluster.h"
-#include "tensor/arena.h"
 #include "tensor/ops.h"
 #include "util/env.h"
 #include "util/rng.h"
@@ -103,43 +99,6 @@ std::vector<GemmRow> RunGemmSweep(bool smoke) {
   return rows;
 }
 
-struct ArenaResult {
-  std::int64_t allocs_per_epoch = 0;
-  std::int64_t floats_per_alloc = 0;
-  double arena_s = 0.0;
-  double malloc_s = 0.0;
-};
-
-ArenaResult RunArenaVsMalloc(bool smoke) {
-  // Shape mimics one DAG Transformer forward: dozens of medium matrices whose
-  // lifetimes end together.
-  ArenaResult result;
-  result.allocs_per_epoch = 64;
-  result.floats_per_alloc = 200 * 32;
-  const int reps = smoke ? 20 : 200;
-  tensor::Arena arena;
-  result.arena_s = BestOf(reps, [&] {
-    arena.Reset();
-    for (std::int64_t i = 0; i < result.allocs_per_epoch; ++i) {
-      float* p = arena.AllocFloats(result.floats_per_alloc);
-      p[0] = static_cast<float>(i);  // touch so the alloc is not elided
-      benchmark::DoNotOptimize(p);
-    }
-  });
-  result.malloc_s = BestOf(reps, [&] {
-    std::vector<std::vector<float>> live;
-    live.reserve(static_cast<std::size_t>(result.allocs_per_epoch));
-    for (std::int64_t i = 0; i < result.allocs_per_epoch; ++i) {
-      live.emplace_back(static_cast<std::size_t>(result.floats_per_alloc));
-      live.back()[0] = static_cast<float>(i);
-      benchmark::DoNotOptimize(live.back().data());
-    }
-  });
-  std::cerr << "[bench] arena epoch " << result.arena_s * 1e6 << " us vs malloc "
-            << result.malloc_s * 1e6 << " us (" << result.malloc_s / result.arena_s << "x)\n";
-  return result;
-}
-
 const ir::StageProgram& SampleStage() {
   static const ir::StageProgram program = [] {
     ir::Gpt3Config config;
@@ -151,8 +110,7 @@ const ir::StageProgram& SampleStage() {
 struct PredictResult {
   std::int64_t graph_nodes = 0;
   double tape_s = 0.0;      // autograd Forward
-  double fast_s = 0.0;      // tape-free InferScalar, compilation disabled
-  double compiled_s = 0.0;  // compiled InferProgram (fused + planned arena)
+  double compiled_s = 0.0;  // compiled InferProgram (fused + planned buffer)
 };
 
 PredictResult RunPredictComparison(bool smoke) {
@@ -168,25 +126,18 @@ PredictResult RunPredictComparison(bool smoke) {
   result.tape_s = BestOf(reps, [&] {
     benchmark::DoNotOptimize(regressor.PredictSecondsTape(encoded));
   });
-  compile::SetCompileEnabled(false);
-  result.fast_s = BestOf(reps, [&] {
-    benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
-  });
-  compile::SetCompileEnabled(true);
   result.compiled_s = BestOf(reps, [&] {
     benchmark::DoNotOptimize(regressor.PredictSeconds(encoded));
   });
   std::cerr << "[bench] warm PredictSeconds (" << result.graph_nodes << " nodes): tape "
-            << result.tape_s * 1e3 << " ms, fast " << result.fast_s * 1e3 << " ms ("
-            << result.tape_s / result.fast_s << "x vs tape), compiled "
-            << result.compiled_s * 1e3 << " ms ("
-            << result.fast_s / result.compiled_s << "x vs fast)\n";
+            << result.tape_s * 1e3 << " ms, compiled " << result.compiled_s * 1e3 << " ms ("
+            << result.tape_s / result.compiled_s << "x vs tape)\n";
   return result;
 }
 
 struct BatchRow {
   std::int64_t batch = 0;
-  double sequential_s = 0.0;   // B sequential compiled forwards (the PR 9 replay)
+  double sequential_s = 0.0;   // B sequential Infer calls (compiled forwards)
   double batched_s = 0.0;      // one stacked pass over the whole batch
   double interleaved_s = 0.0;  // independent forwards fanned across a pool
   double auto_s = 0.0;         // whatever ExecuteBatch's kAuto heuristic picks
@@ -214,8 +165,6 @@ std::vector<BatchRow> RunBatchSweep(bool smoke) {
   for (const auto& g : graphs) ptrs.push_back(&g);
 
   util::ThreadPool pool(tensor::GemmThreads());
-  nn::InferenceContext& ctx = nn::ThreadLocalInferenceContext();
-  compile::SetCompileEnabled(true);
   std::vector<BatchRow> rows;
   for (const std::int64_t b : batches) {
     BatchRow row;
@@ -223,7 +172,7 @@ std::vector<BatchRow> RunBatchSweep(bool smoke) {
     std::vector<float> out(static_cast<std::size_t>(b));
     row.sequential_s = BestOf(reps, [&] {
       for (std::int64_t q = 0; q < b; ++q) {
-        benchmark::DoNotOptimize(model->InferScalar(graphs[static_cast<std::size_t>(q)], ctx));
+        benchmark::DoNotOptimize(model->Infer(graphs[static_cast<std::size_t>(q)]));
       }
     });
     compile::BatchOptions stacked;
@@ -351,7 +300,6 @@ std::vector<PredictSearchRow> RunPredictSearch(bool smoke) {
   const int reps = smoke ? 1 : 7;
   util::ThreadPool pool2(2);
   util::ThreadPool pool4(4);
-  compile::SetCompileEnabled(true);
   std::vector<PredictSearchRow> rows;
   for (const auto& [model, max_span] : models) {
     core::StageEncodings encodings;
@@ -397,7 +345,7 @@ std::vector<PredictSearchRow> RunPredictSearch(bool smoke) {
 }
 
 void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
-               const ArenaResult& arena, const PredictResult& predict,
+               const PredictResult& predict,
                const std::vector<BatchRow>& batch,
                const std::vector<EncodeSearchRow>& encode,
                const std::vector<PredictSearchRow>& forwards, bool smoke) {
@@ -411,15 +359,8 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
         << ", \"speedup_packed_threads\": " << row.naive_s / row.threaded_s << "}"
         << (i + 1 < gemm.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"arena\": {\"allocs_per_epoch\": " << arena.allocs_per_epoch
-      << ", \"floats_per_alloc\": " << arena.floats_per_alloc
-      << ", \"arena_s\": " << arena.arena_s << ", \"malloc_s\": " << arena.malloc_s
-      << ", \"speedup\": " << arena.malloc_s / arena.arena_s << "},\n";
-  out << "  \"predict_gpt3_stage\": {\"graph_nodes\": " << predict.graph_nodes
-      << ", \"tape_s\": " << predict.tape_s << ", \"fast_s\": " << predict.fast_s
-      << ", \"compiled_s\": " << predict.compiled_s
-      << ", \"speedup_vs_tape\": " << predict.tape_s / predict.fast_s
-      << ", \"speedup_compiled_vs_fast\": " << predict.fast_s / predict.compiled_s
+  out << "  ],\n  \"predict_gpt3_stage\": {\"graph_nodes\": " << predict.graph_nodes
+      << ", \"tape_s\": " << predict.tape_s << ", \"compiled_s\": " << predict.compiled_s
       << ", \"speedup_compiled_vs_tape\": " << predict.tape_s / predict.compiled_s << "},\n";
   out << "  \"batch_predict\": [\n";
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -552,7 +493,7 @@ void BM_DagTransformerForward(benchmark::State& state) {
 }
 BENCHMARK(BM_DagTransformerForward);
 
-void BM_DagTransformerInferForward(benchmark::State& state) {
+void BM_DagTransformerInfer(benchmark::State& state) {
   const graph::EncodedGraph encoded = core::EncodeStage(SampleStage());
   core::PredictorOptions options;
   options.feature_dim = core::StageFeatureDim();
@@ -560,13 +501,12 @@ void BM_DagTransformerInferForward(benchmark::State& state) {
   options.dagt_layers = 2;
   options.dagt_heads = 2;
   auto model = core::MakePredictor(core::PredictorKind::kDagTransformer, options);
-  auto& ctx = nn::ThreadLocalInferenceContext();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model->InferScalar(encoded, ctx));
+    benchmark::DoNotOptimize(model->Infer(encoded));
   }
   state.SetLabel(std::to_string(encoded.num_nodes) + " nodes");
 }
-BENCHMARK(BM_DagTransformerInferForward);
+BENCHMARK(BM_DagTransformerInfer);
 
 void BM_GcnForward(benchmark::State& state) {
   const graph::EncodedGraph encoded = core::EncodeStage(SampleStage());
@@ -588,12 +528,11 @@ int main(int argc, char** argv) {
   const std::string json_path =
       util::EnvString("PREDTOP_BENCH_JSON").value_or("BENCH_kernels.json");
   const std::vector<GemmRow> gemm = RunGemmSweep(smoke);
-  const ArenaResult arena = RunArenaVsMalloc(smoke);
   const PredictResult predict = RunPredictComparison(smoke);
   const std::vector<BatchRow> batch = RunBatchSweep(smoke);
   const std::vector<EncodeSearchRow> encode = RunEncodeSearch(smoke);
   const std::vector<PredictSearchRow> forwards = RunPredictSearch(smoke);
-  WriteJson(json_path, gemm, arena, predict, batch, encode, forwards, smoke);
+  WriteJson(json_path, gemm, predict, batch, encode, forwards, smoke);
   if (smoke) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -14,8 +14,8 @@
 #                        NaN/delay faults during a real plan search, which
 #                        must still produce a valid finite plan)
 #   ci/run.sh perf       additional -march=native build (build-native/), the
-#                        fast-path parity + tensor suites under it, and a
-#                        smoke micro_kernels run recording GEMM / arena /
+#                        inference parity + tensor suites under it, and a
+#                        smoke micro_kernels run recording GEMM /
 #                        warm-predict / batch speedups, the encode_search
 #                        row (per-slice vs structure-shared stage encoding of
 #                        a cold plan search) and the predict_search row (its
@@ -34,16 +34,17 @@
 #                        properties, allocation-free warm forwards,
 #                        stacked/interleaved batch bit-parity, the kAuto
 #                        interleave crossover, program-cache LRU and owner
-#                        eviction), the fast-path parity suites and the
+#                        eviction), the Infer suite (generated-DAG parity,
+#                        the tape fallback), the packed-GEMM tests and the
 #                        PredictMany batch-vs-per-query suites, then the
-#                        fig10 compile drill (plan search with
-#                        PREDTOP_COMPILE off vs on) and batch drill (plan
-#                        search through the per-query vs the batch oracle)
-#                        on both paper platforms, asserting equal plans
-#                        (bit-equal for the batch drill)
+#                        fig10 compile drill (plan search priced through
+#                        the compiled programs vs the tape) and batch drill
+#                        (plan search through the per-query vs the batch
+#                        oracle) on both paper platforms, asserting equal
+#                        plans (bit-equal for the batch drill)
 #   ci/run.sh portable   build without -march=native (build-portable/) and
-#                        run the fast-path and compile suites, so the 6x16
-#                        GEMM tile that non-AVX-512 builds select stays
+#                        run the tensor, Infer and compile suites, so the
+#                        6x16 GEMM tile that non-AVX-512 builds select stays
 #                        under test on AVX-512 hosts
 #   ci/run.sh overload   overload-protection lane: the deadline / admission /
 #                        router-timeout / reaping suites, the supervisor
@@ -55,6 +56,24 @@
 #                        build/BENCH_overload.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Run a GoogleTest binary under a --gtest_filter, failing first when any of
+# the filter's patterns selects no test: GoogleTest passes an empty
+# selection, so a renamed or moved suite would otherwise silently empty a
+# lane.
+run_filtered() {
+  local binary="$1" filter="$2" pattern listed
+  local -a patterns
+  IFS=: read -ra patterns <<< "$filter"
+  for pattern in "${patterns[@]}"; do
+    listed="$("$binary" --gtest_list_tests --gtest_filter="$pattern")"
+    if ! grep -q '^  ' <<< "$listed"; then
+      echo "ci/run.sh: '$pattern' selects no test in $binary" >&2
+      return 1
+    fi
+  done
+  "$binary" --gtest_filter="$filter"
+}
 
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$(nproc)"
@@ -84,20 +103,23 @@ fi
 if [[ "${1:-}" == "compile" ]]; then
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$(nproc)" \
-    --target compile_test infer_test serve_test fig10_optimization
+    --target compile_test infer_test tensor_test serve_test fig10_optimization
   # Full compile suite under ASan/UBSan: fp32 parity for every predictor,
-  # planner properties, the arena high-water-mark (allocation-free warm
+  # planner properties, the plan-buffer high-water-mark (allocation-free warm
   # forward) assertion, stacked + interleaved batch bit-parity across batch
   # sizes {1,2,7,64} and pool widths {1,2,8}, the kAuto crossover, cache
-  # LRU/eviction, and concurrent compiled forwards. The parity filter
-  # re-drives every fast kernel the compiled programs call into.
+  # LRU/eviction, and concurrent compiled forwards. The Infer suite adds
+  # compiled-vs-tape parity on generated DAGs and the tape fallback; the
+  # packed-GEMM tests re-drive the kernels the compiled programs call into.
   ./build-asan/tests/compile_test
-  ./build-asan/tests/infer_test --gtest_filter='InferParity.*:PackedGemm.*'
+  ./build-asan/tests/infer_test
+  run_filtered ./build-asan/tests/tensor_test 'PackedGemm.*'
   # PredictMany's batch path vs per-query Predict, plus the exported
   # compiled-path counters.
-  ./build-asan/tests/serve_test --gtest_filter='Service.*'
-  # Plan search with compiled programs off then on, both paper platforms:
-  # the plans must be equal and the compiled path must actually engage.
+  run_filtered ./build-asan/tests/serve_test 'Service.*'
+  # Plan search priced through the compiled programs and through the tape,
+  # both paper platforms: the plans must be equal and the compiled path must
+  # actually engage.
   PREDTOP_COMPILE_DRILL=1 PREDTOP_EPOCHS=40 ./build-asan/bench/fig10_optimization
   # Plan search through the per-query oracle then the batch oracle: the
   # chosen plans must be BIT-equal (the batch executors are exact) and the
@@ -108,7 +130,8 @@ fi
 
 if [[ "${1:-}" == "portable" ]]; then
   cmake -S . -B build-portable -DCMAKE_BUILD_TYPE=Release -DPREDTOP_NATIVE=OFF >/dev/null
-  cmake --build build-portable -j "$(nproc)" --target infer_test compile_test
+  cmake --build build-portable -j "$(nproc)" --target tensor_test infer_test compile_test
+  ./build-portable/tests/tensor_test
   ./build-portable/tests/infer_test
   ./build-portable/tests/compile_test
 fi
@@ -123,18 +146,19 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/parallel_test
   # Parallel backward engine (staged deterministic accumulation, concurrent
   # BackwardInto on shared parameters) and the data-parallel trainer.
-  ./build-tsan/tests/autograd_test --gtest_filter='Engine.*'
-  ./build-tsan/tests/nn_test --gtest_filter='ParallelTrainer.*'
+  run_filtered ./build-tsan/tests/autograd_test 'Engine.*'
+  run_filtered ./build-tsan/tests/nn_test 'ParallelTrainer.*'
   # Background fine-tune thread hot-swapping checkpoints under live serving.
   ./build-tsan/tests/online_test
   # The ServingOracle.FannedOut* tests run a plan search's per-mesh
   # PredictMany calls, and their shape groups, concurrently on a 4-worker
   # service pool.
-  ./build-tsan/tests/serve_test --gtest_filter='LruCache.*:Service.*:ServingOracle.PredictBatchMatchesScalarQueries:ServingOracle.FannedOut*:ThreadPool.*'
-  # Concurrent tape-free forwards on one shared model (arena-per-thread,
-  # lazy packed-weight cache) plus the parity suites that drive every fast
-  # kernel at least once under TSan.
-  ./build-tsan/tests/infer_test --gtest_filter='InferConcurrency.*:InferParity.*'
+  run_filtered ./build-tsan/tests/serve_test \
+    'LruCache.*:Service.*:ServingOracle.PredictBatchMatchesScalarQueries:ServingOracle.FannedOut*:ThreadPool.*'
+  # Concurrent Infer calls on one shared model (compiled forwards and the
+  # tape fallback side by side) plus the parity suite that drives every
+  # compiled kernel at least once under TSan.
+  run_filtered ./build-tsan/tests/infer_test 'InferConcurrency.*:InferParity.*'
   # Concurrent *compiled* forwards on one shared model: the program cache's
   # build-once-per-shape race, per-thread plan buffers, and the packed
   # weight snapshots under simultaneous readers — sequential and batched (the
@@ -142,8 +166,8 @@ if [[ "${1:-}" == "tsan" ]]; then
   # LatencyRegressor::PredictBatch's shape groups as concurrent pool tasks
   # sharing one predictor's program cache, depth-encoding cache and Linear
   # snapshots.
-  ./build-tsan/tests/compile_test \
-    --gtest_filter='CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTapeAndFastPath:CompiledParity.DepthEncodingCacheSeparatesNodeOrders:CompiledBatch.RegressorBatchFanOutMatchesPerGraphOnEveryPool'
+  run_filtered ./build-tsan/tests/compile_test \
+    'CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTape:CompiledParity.DepthEncodingCacheSeparatesNodeOrders:CompiledBatch.RegressorBatchFanOutMatchesPerGraphOnEveryPool'
   # Router concurrency: the cluster-wide coalescing map, per-worker
   # connection locking and failover counters under concurrent clients, the
   # worker's StageEncodings store shared by its connection threads, plus
@@ -152,8 +176,8 @@ if [[ "${1:-}" == "tsan" ]]; then
   # ClusterProcess/SupervisorProcess are excluded — fork/exec and TSan do
   # not mix; the in-process LocalCluster drives identical code paths on
   # threads.
-  ./build-tsan/tests/cluster_test \
-    --gtest_filter='ClusterE2E.*:StageEncodings.*:Ring.*:Deadline.*:Admission.*:RouterTimeout.*:WorkerReap.*'
+  run_filtered ./build-tsan/tests/cluster_test \
+    'ClusterE2E.*:StageEncodings.*:Ring.*:Deadline.*:Admission.*:RouterTimeout.*:WorkerReap.*'
 fi
 
 if [[ "${1:-}" == "perf" ]]; then
@@ -170,8 +194,8 @@ fi
 if [[ "${1:-}" == "train" ]]; then
   cmake --build --preset default -j "$(nproc)" \
     --target autograd_test nn_test online_test train_throughput
-  ./build/tests/autograd_test --gtest_filter='Engine.*'
-  ./build/tests/nn_test --gtest_filter='ParallelTrainer.*:Adam.*:CosineDecay.*:SplitDataset.*'
+  run_filtered ./build/tests/autograd_test 'Engine.*'
+  run_filtered ./build/tests/nn_test 'ParallelTrainer.*:Adam.*:CosineDecay.*:SplitDataset.*'
   ./build/tests/online_test
   # Thread sweep over the data-parallel Fit path; the serial row is the
   # baseline, so the JSON records speedup directly.
@@ -195,14 +219,13 @@ if [[ "${1:-}" == "overload" ]]; then
   # Deadline propagation + shedding, admission budgets (in-flight and
   # connection), per-attempt router timeouts / circuit breaker / retry
   # budget, and connection-thread reaping — all in-process.
-  ./build/tests/cluster_test \
-    --gtest_filter='Deadline.*:Admission.*:RouterTimeout.*:WorkerReap.*'
-  ./build/tests/serve_test --gtest_filter='Service.*'
+  run_filtered ./build/tests/cluster_test 'Deadline.*:Admission.*:RouterTimeout.*:WorkerReap.*'
+  run_filtered ./build/tests/serve_test 'Service.*'
   # Supervisor over real fork/exec workers: crash-loop backoff + quarantine,
   # corrupt-checkpoint permanent failure, heartbeat-drop hung detection, and
   # the full drill (SIGKILL + SIGSTOP + injected overload during plan
   # search, which must still match the in-process plan exactly).
-  ./build/tests/cluster_test --gtest_filter='SupervisorProcess.*'
+  run_filtered ./build/tests/cluster_test 'SupervisorProcess.*'
   # Protected-vs-unprotected closed-loop client sweep against a live
   # cluster; asserts the two drill criteria (admitted service p99 within 2x
   # unloaded, zero post-deadline completions) and records the table.

@@ -6,24 +6,7 @@
 #include <mutex>
 #include <tuple>
 
-#include "util/env.h"
-
 namespace predtop::compile {
-
-namespace {
-
-std::atomic<bool>& CompileFlag() noexcept {
-  static std::atomic<bool> enabled{util::EnvInt("PREDTOP_COMPILE", 1) != 0};
-  return enabled;
-}
-
-}  // namespace
-
-bool CompileEnabled() noexcept { return CompileFlag().load(std::memory_order_relaxed); }
-
-void SetCompileEnabled(bool enabled) noexcept {
-  CompileFlag().store(enabled, std::memory_order_relaxed);
-}
 
 std::uint64_t NextOwnerId() noexcept {
   static std::atomic<std::uint64_t> next{1};
@@ -40,15 +23,12 @@ struct ProgramCache::Impl {
   mutable std::mutex mutex;
   std::list<Entry> lru;  // front = most recent
   std::map<Key, std::list<Entry>::iterator> index;
-  std::size_t capacity = 128;
+  std::size_t capacity = kDefaultCapacity;
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
 };
 
-ProgramCache::ProgramCache() : impl_(std::make_unique<Impl>()) {
-  const long cap = util::EnvInt("PREDTOP_COMPILE_CACHE", 128);
-  impl_->capacity = cap > 0 ? static_cast<std::size_t>(cap) : 1;
-}
+ProgramCache::ProgramCache() : impl_(std::make_unique<Impl>()) {}
 
 ProgramCache& ProgramCache::Global() {
   // Deliberately immortal. Owners can be function-local statics (a test

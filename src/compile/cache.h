@@ -3,8 +3,7 @@
 // (owner instance, shape class). Programs hold raw pointers into their
 // owner's modules, so the owner's destructor MUST evict its entries
 // (core::StagePredictor does) — otherwise a hot-swapped model would leak its
-// programs *and* leave dangling weight pointers behind, the compiled-path
-// cousin of the packed-weight-cache leak this PR fixes.
+// programs *and* leave dangling weight pointers behind.
 //
 // Misses for predictors that cannot be compiled are cached as null markers so
 // the builder runs once per shape class, not once per call.
@@ -17,16 +16,14 @@
 
 namespace predtop::compile {
 
-/// PREDTOP_COMPILE (default 1) gates every compiled-path caller;
-/// SetCompileEnabled is the in-process override (benchmarks A/B with it).
-[[nodiscard]] bool CompileEnabled() noexcept;
-void SetCompileEnabled(bool enabled) noexcept;
-
 /// Monotonic owner ids for program cache keys (one per StagePredictor).
 [[nodiscard]] std::uint64_t NextOwnerId() noexcept;
 
 class ProgramCache {
  public:
+  /// Entries kept until SetCapacity changes it.
+  static constexpr std::size_t kDefaultCapacity = 128;
+
   [[nodiscard]] static ProgramCache& Global();
 
   /// Cached program (possibly a null marker) for the key, bumping recency.
@@ -44,7 +41,7 @@ class ProgramCache {
 
   [[nodiscard]] std::size_t Size() const;
   void Clear();
-  /// Test hook; the process default comes from PREDTOP_COMPILE_CACHE.
+  /// Test hook; the process default is kDefaultCapacity.
   void SetCapacity(std::size_t capacity);
 
   /// Lifetime Lookup outcomes (hit = key present, even as a null marker;

@@ -66,9 +66,9 @@ bool ValidateInputs(const InferProgram& p, const ExecInputs& in) noexcept {
   return true;
 }
 
-/// y(m, n) = x(m, k) * W with the tier resolved at build time — the
-/// same kernels (and where applicable the same cached packs) as
-/// nn::Linear::InferForward, minus the per-call mutex and dispatch.
+/// y(m, n) = x(m, k) * W with the tier resolved at build time — the same
+/// kernels as the tape's tensor::MatMul at that shape, against the Linear's
+/// cached packs, minus the per-call dispatch.
 void LinearGemm(const Step& s, const std::shared_ptr<const nn::Linear::InferWeights>& w,
                 const float* x, std::int64_t m, float* y) {
   const nn::Linear& lin = *s.linear;
@@ -240,8 +240,9 @@ void RunFusedAttention(const InferProgram& p, const Step& s,
 
   tensor::MatMulPackedViewStridedInto(x, n, d, tensor::ViewOf(as.qkv), qkv, d3);
   tensor::fused::BiasActRows(qkv, n, d3, d3, as.bias.data(), tensor::fused::Act::kNone);
-  // Fold 1/sqrt(dk) into the q columns (post-bias, exactly like the op-by-op
-  // fast path's ScaleInPlace on the q projection).
+  // Fold 1/sqrt(dk) into the q columns (post-bias, exactly like the
+  // recorded Scale step on the q projection; the tape scales the logits
+  // instead, one rounding apart, ~1e-7 relative).
   for (std::int64_t i = 0; i < n; ++i) {
     float* row = qkv + i * d3;
     for (std::int64_t j = 0; j < d; ++j) row[j] *= s.scalar;
@@ -295,12 +296,16 @@ void RunFusedAttention(const InferProgram& p, const Step& s,
   }
 }
 
-/// Unfused attention heads, mirroring MultiheadMaskedAttention::InferForward
-/// bit for bit at the shape classes the fuser declines: the same
-/// UsePackedGemm gates pick between the strided-deferred branch and the
-/// slice-based branch, and within each GEMM the same packed/narrow/naive
-/// tier dispatch as infer::MatMul runs. Head outputs land directly in their
-/// column block of `y`, which is bitwise the ConcatCols result.
+/// Unfused attention heads at the shape classes the fuser declines, the
+/// counterpart of the tape's MultiheadMaskedAttention::Forward (per head:
+/// SliceCols, MatMul against the transposed keys, MaskedRowSoftmax, MatMul
+/// with the values, then ConcatCols). When both per-head GEMMs take the
+/// packed tier the strided-deferred branch reads each head's columns in
+/// place and defers softmax normalization to the (n, head_dim) output;
+/// otherwise the slice-based branch runs the tape's packed/narrow/naive tier
+/// dispatch per GEMM. Both fold 1/sqrt(dk) into q (the recorded Scale
+/// step). Head outputs land directly in their column block of `y`, which is
+/// bitwise the ConcatCols result.
 void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
                   const float* q, const float* k, const float* v, float* y,
                   float* scratch) {
@@ -323,8 +328,8 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
       const std::int64_t off = h * hd;
       tensor::PackBTransposedIntoBuf(k + off, hd, n, packbuf, d);
       tensor::MatMulPackedViewStridedInto(q + off, n, d, {packbuf, hd, n}, logits, n);
-      // infer::RowSoftmaxDeferred mirror: unmasked row max as the exp shift
-      // (two separate streaming phases), masked-max retry on underflow.
+      // Deferred softmax: unmasked row max as the exp shift (two separate
+      // streaming phases), masked-max retry on underflow.
       for (std::int64_t i = 0; i < n; ++i) {
         maxes[i] = tensor::simd::MaskedRowMax(logits + i * n, nullptr, n);
       }
@@ -350,7 +355,7 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
   }
 
   // Slice-based branch: materialized per-head slices, normalized masked
-  // softmax, infer::MatMul tier dispatch per GEMM.
+  // softmax, tensor::MatMul tier dispatch per GEMM.
   float* qh = scratch;
   float* kh = qh + n * hd;
   float* vh = kh + n * hd;
@@ -393,8 +398,8 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
         }
       }
     }
-    // attn = masked row softmax, normalized in place (infer::RowSoftmax's
-    // exact pass structure; lane-wise, so in-place is safe).
+    // attn = masked row softmax, normalized in place (tensor::RowSoftmax's
+    // pass structure; lane-wise, so in-place is safe).
     for (std::int64_t i = 0; i < n; ++i) {
       float* lrow = logits + i * n;
       const float* mrow = mask != nullptr ? mask + i * n : nullptr;
@@ -442,7 +447,7 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
 
 void RunSegmentSoftmax(const InferProgram& p, const ExecInputs& in, const float* x,
                        std::int64_t rows, std::int64_t cols, float* y, float* scratch) {
-  // Mirror of infer::SegmentSoftmax: per-segment max, exp + denominator,
+  // Mirror of autograd::SegmentSoftmax: per-segment max, exp + denominator,
   // normalize (same std::exp, same pass structure).
   const std::vector<std::int32_t>& seg = in.g->edge_dst;
   const std::int64_t n = p.num_nodes;
@@ -598,7 +603,7 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       const float* vec = s.gain->value().data().data();
       float* y = ops.out;
       if (k >= 16) {
-        // infer::MatMul's narrow-output tier (n == 1 < 16, k >= 16).
+        // tensor::MatMul's narrow-output tier (n == 1 < 16, k >= 16).
         for (std::int64_t i = 0; i < rows; ++i) {
           y[i] = tensor::simd::Dot(x + i * k, vec, k);
         }

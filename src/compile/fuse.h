@@ -7,7 +7,7 @@
 //     kGemmPanel multiple so the combined pack is bit-identical to three
 //     separate packs, and requires every GEMM in the chain to take the
 //     packed tier — the fused kernel is all-packed, so fusing a shape the
-//     op-by-op path would run naive/narrow would change the float bits)
+//     tape's MatMul would run naive/narrow would change the float bits)
 //  2. residual norm     [Linear -> y, Add(y, r), LayerNorm(y)]
 //                                              -> kLinearResidualNorm
 //  3. activation        [Linear -> y, Relu(y)] -> kLinearAct
@@ -16,8 +16,8 @@
 // have no other reader), so a pattern that merely *looks* adjacent is never
 // fused incorrectly. Matching is intentionally conservative: a miss leaves
 // the unfused steps in place, which stays correct — the executor runs an
-// unfused kAttnHeads through the same slice-based kernels as the op-by-op
-// fast path.
+// unfused kAttnHeads through the same per-head kernels and GEMM tiers as the
+// tape's attention.
 
 #include "compile/program.h"
 

@@ -24,8 +24,8 @@ struct PlanLayout {
   std::int64_t total_floats = 0;      // high-water mark of the layout
 };
 
-/// Offsets stay 16-float (64-byte) aligned so planned GEMM destinations keep
-/// the arena's alignment guarantees.
+/// Offsets stay 16-float (64-byte) aligned relative to the plan buffer, so
+/// planned GEMM destinations start on cache-line multiples.
 inline constexpr std::int64_t kPlanAlign = 16;
 
 /// Greedy best-fit over lifetimes in first-def order: each value takes the

@@ -7,15 +7,16 @@
 
 #include "compile/fuse.h"
 #include "compile/planner.h"
-#include "nn/infer.h"
+#include "nn/module.h"
 #include "tensor/ops.h"
 
 namespace predtop::compile {
 
 namespace {
 
-/// The same tier predicates nn::Linear::InferForward evaluates per call,
-/// resolved once at build time from the row count the step will always see.
+/// The same tier predicates tensor::MatMul (the tape's Linear) evaluates per
+/// call, resolved once at build time from the row count the step will always
+/// see.
 [[nodiscard]] GemmTier ResolveLinearTier(std::int64_t m, std::int64_t k, std::int64_t n) {
   if (tensor::UsePackedGemm(m, k, n)) return GemmTier::kPacked;
   if (n < 16 && k >= 16) return GemmTier::kNarrow;

@@ -1,15 +1,15 @@
 #pragma once
 // Compiled inference programs (the tentpole of predtop::compile).
 //
-// A predictor's tape-free forward is a fixed op sequence once the graph's
-// shape class (node count, edge count) is known. Instead of re-deciding
-// kernel tiers, taking per-layer weight-cache locks, and bump-allocating
-// dozens of arena intermediates on every call, we *record* that sequence once
-// into an InferProgram:
+// A predictor's inference forward is a fixed op sequence once the graph's
+// shape class (node count, edge count) is known. Instead of building an
+// autograd tape — a fresh tensor per op, re-decided kernel tiers, a node per
+// op kept alive for a backward that never runs — we *record* that sequence
+// once into an InferProgram:
 //
-//  - ProgramBuilder records the unfused module-level ops exactly as the
-//    InferForward paths execute them (one Step per Linear / activation /
-//    norm / graph op);
+//  - ProgramBuilder records the unfused module-level ops of the predictor's
+//    Forward (one Step per Linear / activation / norm / graph op, each
+//    mirroring the autograd op of the same name);
 //  - the fusion pass (fuse.h) pattern-matches Linear+activation,
 //    Linear+residual+LayerNorm, and the attention projection chain into
 //    single fused steps backed by the kernels in tensor/fused.h;
@@ -22,8 +22,9 @@
 //
 // Programs are cached per (predictor instance, shape class) in a global LRU
 // (cache.h) and invalidated by nn::ParameterEpoch exactly like the
-// per-Linear packs. PREDTOP_COMPILE=0 reverts every
-// caller to the op-by-op fast path.
+// per-Linear packs. The compiled program and the tape are the only two
+// inference paths: StagePredictor::Infer answers an input the builder
+// refuses on the tape, and the tape stays the parity reference (<= 1e-6).
 
 #include <cstdint>
 #include <memory>
@@ -86,7 +87,8 @@ enum class OpKind : std::uint8_t {
 };
 
 /// GEMM tier resolved at build time from the (m, k, n) the step will always
-/// see — the same predicates nn::Linear::InferForward evaluates per call.
+/// see — the same predicates tensor::MatMul (the tape's Linear) evaluates
+/// per call.
 enum class GemmTier : std::uint8_t { kPacked, kNarrow, kNaive };
 
 struct Step {
@@ -186,9 +188,8 @@ class ProgramBuilder {
   void AddRowVector(ValueId x, const autograd::Variable& bias);
 
   /// Run the fusion pass, resolve GEMM tiers, plan the buffer, and seal the
-  /// program. Returns nullptr when the recorded ops cannot be compiled (an
-  /// attention block the fuser refused, e.g. dim not a panel multiple) — the
-  /// caller falls back to the op-by-op path.
+  /// program. A pattern the fuser declines stays as its unfused steps, so
+  /// every recorded sequence compiles.
   [[nodiscard]] std::shared_ptr<InferProgram> Finish(ValueId output);
 
  private:

@@ -5,7 +5,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include <array>
 #include <mutex>
 #include <unordered_map>
 
@@ -23,8 +22,9 @@ StagePredictor::~StagePredictor() {
   compile::ProgramCache::Global().EvictOwner(instance_id_);
 }
 
-float StagePredictor::InferScalar(const graph::EncodedGraph& g, nn::InferenceContext& ctx) {
-  (void)ctx;
+float StagePredictor::Infer(const graph::EncodedGraph& g) {
+  float y = 0.0f;
+  if (TryInferCompiled(g, &y)) return y;
   return Forward(g).value().data()[0];
 }
 
@@ -124,33 +124,9 @@ class DagTransformerPredictor final : public StagePredictor {
     return head_->Forward(autograd::ConcatCols(pooled));
   }
 
-  float InferScalar(const graph::EncodedGraph& g, nn::InferenceContext& ctx) override {
-    if (compile::CompileEnabled()) {
-      float y = 0.0f;
-      if (TryInferCompiled(g, &y)) return y;
-    }
-    ctx.BeginForward();
-    const tensor::ConstMat features = nn::infer::View(g.features);
-    tensor::MatRef h = input_proj_.InferForward(features, ctx);
-    if (options_.use_dagpe) {
-      const auto pe = CachedDepthEncoding(g);
-      nn::infer::AddInPlace(h, nn::infer::View(*pe));
-    }
-    // DAGRA masks are precomputed per graph (g.dagra_mask); the ablation's
-    // all-zero mask is numerically a no-op, so pass no mask at all.
-    const tensor::Tensor* mask = options_.use_dagra ? &g.dagra_mask : nullptr;
-    for (const auto& layer : layers_) h = layer->InferForward(h, mask, ctx);
-    const tensor::MatRef pooled_h = nn::infer::GlobalAddPool(ctx, h);
-    tensor::MatRef pooled_f = nn::infer::GlobalAddPool(ctx, features);
-    nn::infer::ScaleInPlace(pooled_f, 1.0f / 256.0f);
-    const std::array<tensor::ConstMat, 2> pooled{pooled_h, pooled_f};
-    const tensor::MatRef cat = nn::infer::ConcatCols(ctx, pooled);
-    return head_->InferForward(cat, ctx).data[0];
-  }
-
   std::string Name() const override { return "DagTransformer"; }
 
-  /// Record InferScalar's op sequence: input projection (+DAGPE), the four
+  /// Record Forward's op sequence: input projection (+DAGPE), the four
   /// steps per transformer layer the fuser produces, pooled head. The fusion
   /// pass turns each layer into kFusedAttention + two kLinearResidualNorm +
   /// one kLinearAct step.
@@ -293,22 +269,6 @@ class GcnPredictor final : public StagePredictor {
     return head_->Forward(autograd::GlobalAddPool(h));
   }
 
-  float InferScalar(const graph::EncodedGraph& g, nn::InferenceContext& ctx) override {
-    if (compile::CompileEnabled()) {
-      float y = 0.0f;
-      if (TryInferCompiled(g, &y)) return y;
-    }
-    ctx.BeginForward();
-    tensor::ConstMat h = nn::infer::View(g.features);
-    for (const auto& layer : layers_) {
-      tensor::MatRef t = layer->InferForward(h, *g.adj_norm, ctx);
-      nn::infer::ReluInPlace(t);
-      h = t;
-    }
-    const tensor::MatRef pooled = nn::infer::GlobalAddPool(ctx, h);
-    return head_->InferForward(pooled, ctx).data[0];
-  }
-
   std::string Name() const override { return "GCN"; }
 
   std::shared_ptr<compile::InferProgram> BuildProgram(
@@ -379,22 +339,6 @@ class GatPredictor final : public StagePredictor {
       h = autograd::Relu(layer->Forward(h, g.edge_src, g.edge_dst));
     }
     return head_->Forward(autograd::GlobalAddPool(h));
-  }
-
-  float InferScalar(const graph::EncodedGraph& g, nn::InferenceContext& ctx) override {
-    if (compile::CompileEnabled()) {
-      float y = 0.0f;
-      if (TryInferCompiled(g, &y)) return y;
-    }
-    ctx.BeginForward();
-    tensor::ConstMat h = nn::infer::View(g.features);
-    for (const auto& layer : layers_) {
-      tensor::MatRef t = layer->InferForward(h, g.edge_src, g.edge_dst, ctx);
-      nn::infer::ReluInPlace(t);
-      h = t;
-    }
-    const tensor::MatRef pooled = nn::infer::GlobalAddPool(ctx, h);
-    return head_->InferForward(pooled, ctx).data[0];
   }
 
   std::string Name() const override { return "GAT"; }

@@ -13,7 +13,6 @@
 #include "compile/program.h"
 #include "graph/encode.h"
 #include "nn/dag_transformer.h"
-#include "nn/infer.h"
 #include "nn/gat.h"
 #include "nn/gcn.h"
 #include "nn/linear.h"
@@ -54,16 +53,13 @@ class StagePredictor : public nn::Module {
   /// Prediction in normalized target space, shape (1, 1).
   [[nodiscard]] virtual autograd::Variable Forward(const graph::EncodedGraph& g) = 0;
 
-  /// Tape-free prediction (same normalized scalar as Forward) running on
-  /// ctx's arena with cached packed weights and depth-keyed per-graph
-  /// encodings. Mirrors Forward's kernels exactly; safe to call from many
-  /// threads concurrently (one ctx per thread), but not concurrently with
-  /// parameter mutation. The base implementation falls back to the autograd
-  /// tape so predictors without a fast path stay correct. Concrete
-  /// predictors first try the compiled program for g's shape class (see
-  /// compile::InferProgram) unless PREDTOP_COMPILE disables it.
-  [[nodiscard]] virtual float InferScalar(const graph::EncodedGraph& g,
-                                          nn::InferenceContext& ctx);
+  /// Inference-only prediction (the same normalized scalar as Forward):
+  /// runs the compiled program for g's shape class (see
+  /// compile::InferProgram) and answers on the autograd tape when
+  /// BuildProgram refuses the input or Execute rejects it. Safe to call
+  /// from many threads concurrently, but not concurrently with parameter
+  /// mutation.
+  [[nodiscard]] float Infer(const graph::EncodedGraph& g);
 
   [[nodiscard]] virtual std::string Name() const = 0;
 
@@ -84,7 +80,7 @@ class StagePredictor : public nn::Module {
  protected:
   /// Compiled program for g's shape class: LRU-cached globally, recorded via
   /// BuildProgram on a miss (null results are cached too, so uncompilable
-  /// shapes pay the builder once). nullptr = fall back to the op-by-op path.
+  /// shapes pay the builder once). nullptr = answer on the tape.
   [[nodiscard]] std::shared_ptr<compile::InferProgram> CachedProgram(
       const graph::EncodedGraph& g);
 
@@ -96,9 +92,9 @@ class StagePredictor : public nn::Module {
   }
 
   /// Execute the compiled program for g, writing the normalized prediction
-  /// to *out. False = not compiled / shape mismatch: fall back. Externals
-  /// come from FillExecInputs, so both this and the batch path see the same
-  /// predictor-specific inputs.
+  /// to *out. False = not compiled / shape mismatch: answer on the tape.
+  /// Externals come from FillExecInputs, so both this and the batch path see
+  /// the same predictor-specific inputs.
   [[nodiscard]] bool TryInferCompiled(const graph::EncodedGraph& g, float* out);
 
   /// Resolve g's execution inputs for the compiled path. Overrides supply

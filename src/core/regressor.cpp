@@ -16,7 +16,6 @@
 #include "fault/injector.h"
 #include "fault/status.h"
 #include "nn/serialize.h"
-#include "util/env.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -206,20 +205,8 @@ nn::TrainResult LatencyRegressor::Fit(const StageDataset& dataset,
       targets, train_indices, val_indices);
 }
 
-namespace {
-
-bool FastInferEnabled() noexcept {
-  static const bool enabled = util::EnvInt("PREDTOP_FAST_INFER", 1) != 0;
-  return enabled;
-}
-
-}  // namespace
-
-bool LatencyRegressor::FastInferActive() noexcept { return FastInferEnabled(); }
-
 double LatencyRegressor::PredictSeconds(const graph::EncodedGraph& g) {
-  if (!FastInferEnabled()) return PredictSecondsTape(g);
-  const float pred = model_->InferScalar(g, nn::ThreadLocalInferenceContext());
+  const float pred = model_->Infer(g);
   // Latencies are positive by definition; the linear head can extrapolate
   // below zero early in training, so clamp to a 1 us floor.
   return std::max(1e-6, Denormalize(pred));
@@ -242,10 +229,6 @@ std::vector<double> LatencyRegressor::PredictBatch(
     std::span<const graph::EncodedGraph* const> graphs, util::ThreadPool* pool) {
   std::vector<double> out(graphs.size(), 0.0);
   if (graphs.empty()) return out;
-  if (!FastInferEnabled() || !compile::CompileEnabled()) {
-    for (std::size_t i = 0; i < graphs.size(); ++i) out[i] = PredictSeconds(*graphs[i]);
-    return out;
-  }
 
   // Group by shape class — one compiled program serves one (nodes, edges)
   // pair — preserving arrival order within each group.
@@ -274,7 +257,8 @@ std::vector<double> LatencyRegressor::PredictBatch(
         out[indices[j]] = std::max(1e-6, Denormalize(preds[j]));
       }
     } else {
-      // Shape class not compilable: per-graph fast path (same clamp).
+      // Shape class not compilable: per-graph PredictSeconds, which answers
+      // on the tape (same clamp).
       for (const std::size_t i : indices) out[i] = PredictSeconds(*graphs[i]);
     }
   };

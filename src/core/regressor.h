@@ -35,21 +35,20 @@ class LatencyRegressor {
                       std::span<const std::size_t> val_indices,
                       const nn::TrainConfig& train_config);
 
-  /// Predicted stage latency in seconds. Runs the tape-free fast path
-  /// (per-thread arena, cached packed weights) unless PREDTOP_FAST_INFER=0;
-  /// both paths share the same kernels, so results are bit-identical.
+  /// Predicted stage latency in seconds through StagePredictor::Infer: the
+  /// compiled program for g's shape class, or the tape for an input the
+  /// program builder refuses.
   [[nodiscard]] double PredictSeconds(const graph::EncodedGraph& g);
 
   /// Reference prediction through the autograd tape (always available; used
   /// by parity tests and benchmarks as the baseline).
   [[nodiscard]] double PredictSecondsTape(const graph::EncodedGraph& g);
 
-  /// Fast-path predictions for a batch of graphs. Groups the batch by shape
-  /// class ((num_nodes, num_edges)) and runs each same-shape group through
-  /// the compiled batch executor — program, weight snapshot, and plan
-  /// resolved once per group (see compile::ExecuteBatch) — falling back to
-  /// per-graph PredictSeconds when a group is not compilable or the
-  /// compiled path is disabled (PREDTOP_COMPILE=0). With a `pool`, the
+  /// Predictions for a batch of graphs. Groups the batch by shape class
+  /// ((num_nodes, num_edges)) and runs each same-shape group through the
+  /// compiled batch executor — program, weight snapshot, and plan resolved
+  /// once per group (see compile::ExecuteBatch) — falling back to per-graph
+  /// PredictSeconds when a group is not compilable. With a `pool`, the
   /// groups run as concurrent tasks on it (the calling thread runs tasks
   /// too) and a same-shape group's interleaved forwards nest on the same
   /// pool; without one they run one after another on the calling thread.
@@ -65,11 +64,6 @@ class LatencyRegressor {
   /// Mean relative error (%) vs the samples' true latencies (paper Eqn. 5).
   [[nodiscard]] double MrePercent(const StageDataset& dataset,
                                   std::span<const std::size_t> indices);
-
-  /// Whether the tape-free fast path is active (PREDTOP_FAST_INFER, default
-  /// on). Exposed so serving layers can gate batch routing on it: the
-  /// compiled batch executor only engages on the fast path.
-  [[nodiscard]] static bool FastInferActive() noexcept;
 
   [[nodiscard]] PredictorKind Kind() const noexcept { return kind_; }
   [[nodiscard]] StagePredictor& Model() noexcept { return *model_; }

@@ -9,31 +9,6 @@ namespace predtop::nn {
 
 using autograd::Variable;
 
-namespace {
-
-/// C = a * bt^T without materializing the transpose when the shape takes the
-/// packed tier (PackBTransposedInto builds the identical pack straight from
-/// the (n, k) layout, so the result matches the training path bit for bit).
-/// Small shapes fall back to transpose + infer::MatMul, which mirrors the
-/// training dispatch exactly.
-tensor::MatRef MatMulTransposedB(InferenceContext& ctx, tensor::ConstMat a,
-                                 tensor::ConstMat bt) {
-  const std::int64_t m = a.rows, k = a.cols, n = bt.rows;
-  if (k != bt.cols) {
-    throw std::invalid_argument("MatMulTransposedB: inner dimension mismatch");
-  }
-  if (tensor::UsePackedGemm(m, k, n)) {
-    thread_local tensor::PackedB scratch;
-    tensor::PackBTransposedInto(bt.data, k, n, scratch);
-    tensor::MatRef c = ctx.arena().Alloc(m, n);
-    tensor::MatMulPackedInto(a.data, m, scratch, c.data);
-    return c;
-  }
-  return infer::MatMul(ctx, a, infer::Transpose(ctx, bt));
-}
-
-}  // namespace
-
 MultiheadMaskedAttention::MultiheadMaskedAttention(std::int64_t dim, std::int64_t heads,
                                                    util::Rng& rng)
     : dim_(dim),
@@ -73,69 +48,6 @@ Variable MultiheadMaskedAttention::Forward(const Variable& x,
   }
   const Variable merged = autograd::ConcatCols(head_outputs);
   return wo_.Forward(merged);
-}
-
-tensor::MatRef MultiheadMaskedAttention::InferForward(tensor::ConstMat x,
-                                                      const tensor::Tensor* additive_mask,
-                                                      InferenceContext& ctx) const {
-  const std::int64_t n = x.rows;
-  if (additive_mask != nullptr &&
-      (additive_mask->rank() != 2 || additive_mask->dim(0) != n ||
-       additive_mask->dim(1) != n)) {
-    throw std::invalid_argument("MultiheadMaskedAttention: mask must be (n, n)");
-  }
-  const tensor::MatRef q = wq_.InferForward(x, ctx);
-  const tensor::MatRef k = wk_.InferForward(x, ctx);
-  const tensor::MatRef v = wv_.InferForward(x, ctx);
-  const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-  // Fold the 1/sqrt(dk) scale into q once: (s*q)k^T instead of s*(qk^T)
-  // saves a full (n, n) pass per head at the cost of one extra rounding per
-  // logit (~1e-7 relative), inside the 1e-6 parity contract.
-  infer::ScaleInPlace(q, inv_sqrt_dk);
-
-  // Strided fast path: when both per-head multiplies take the packed tier,
-  // read each head's q/k/v columns in place (strided packs, no SliceCols
-  // copies), defer softmax normalization to the (n, head_dim) output, and
-  // write each head straight into its column block of the merged matrix (no
-  // ConcatCols). Gated on the same UsePackedGemm the training path dispatches
-  // on so small graphs keep the bit-exact slice-based path below.
-  if (tensor::UsePackedGemm(n, head_dim_, n) && tensor::UsePackedGemm(n, n, head_dim_)) {
-    tensor::MatRef merged = ctx.arena().Alloc(n, dim_);
-    thread_local tensor::PackedB scratch;
-    for (std::int64_t h = 0; h < heads_; ++h) {
-      const std::int64_t off = h * head_dim_;
-      // logits = qh * kh^T, both read at column offset `off` with stride dim_.
-      tensor::PackBTransposedInto(k.data + off, head_dim_, n, scratch, dim_);
-      tensor::MatRef logits = ctx.arena().Alloc(n, n);
-      tensor::MatMulPackedStridedInto(q.data + off, n, dim_, scratch, logits.data, n);
-      const infer::DeferredSoftmax ds = infer::RowSoftmaxDeferred(ctx, logits, additive_mask);
-      // merged[:, off:off+head_dim] = (weights * vh) scaled row-wise by
-      // 1/rowsum — normalizing head_dim columns instead of n.
-      tensor::PackBInto(v.data + off, n, head_dim_, scratch, dim_);
-      tensor::MatMulPackedStridedInto(ds.weights.data, n, n, scratch, merged.data + off,
-                                      dim_);
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float s = ds.inv_sum.data[i];
-        float* row = merged.data + i * dim_ + off;
-        for (std::int64_t j = 0; j < head_dim_; ++j) row[j] *= s;
-      }
-    }
-    return wo_.InferForward(merged, ctx);
-  }
-
-  std::vector<tensor::ConstMat> head_outputs;
-  head_outputs.reserve(static_cast<std::size_t>(heads_));
-  for (std::int64_t h = 0; h < heads_; ++h) {
-    const std::int64_t off = h * head_dim_;
-    const tensor::MatRef qh = infer::SliceCols(ctx, q, off, head_dim_);
-    const tensor::MatRef kh = infer::SliceCols(ctx, k, off, head_dim_);
-    const tensor::MatRef vh = infer::SliceCols(ctx, v, off, head_dim_);
-    const tensor::MatRef logits = MatMulTransposedB(ctx, qh, kh);
-    const tensor::MatRef attn = infer::RowSoftmax(ctx, logits, additive_mask);
-    head_outputs.push_back(infer::MatMul(ctx, attn, vh));
-  }
-  const tensor::MatRef merged = infer::ConcatCols(ctx, head_outputs);
-  return wo_.InferForward(merged, ctx);
 }
 
 std::vector<Variable*> MultiheadMaskedAttention::Parameters() {

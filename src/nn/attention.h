@@ -19,12 +19,6 @@ class MultiheadMaskedAttention : public Module {
   [[nodiscard]] autograd::Variable Forward(const autograd::Variable& x,
                                            const tensor::Tensor& additive_mask) const;
 
-  /// Tape-free forward into ctx's arena. `additive_mask` may be null for
-  /// unrestricted attention (numerically identical to an all-zero mask).
-  [[nodiscard]] tensor::MatRef InferForward(tensor::ConstMat x,
-                                            const tensor::Tensor* additive_mask,
-                                            InferenceContext& ctx) const;
-
   [[nodiscard]] std::vector<autograd::Variable*> Parameters() override;
   [[nodiscard]] std::vector<NamedParameter> NamedParameters() override;
 

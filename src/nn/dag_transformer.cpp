@@ -23,19 +23,6 @@ Variable DagTransformerLayer::Forward(const Variable& x,
   return autograd::LayerNorm(autograd::Add(h1, ffn), norm2_gain_, norm2_bias_);
 }
 
-tensor::MatRef DagTransformerLayer::InferForward(tensor::ConstMat x,
-                                                 const tensor::Tensor* reachability_mask,
-                                                 InferenceContext& ctx) const {
-  tensor::MatRef attn = attention_.InferForward(x, reachability_mask, ctx);
-  infer::AddInPlace(attn, x);  // residual: x + attn
-  const tensor::MatRef h1 = infer::LayerNorm(ctx, attn, norm1_gain_.value(), norm1_bias_.value());
-  tensor::MatRef f = ffn_in_.InferForward(h1, ctx);
-  infer::ReluInPlace(f);
-  tensor::MatRef ffn = ffn_out_.InferForward(f, ctx);
-  infer::AddInPlace(ffn, h1);  // residual: h1 + ffn
-  return infer::LayerNorm(ctx, ffn, norm2_gain_.value(), norm2_bias_.value());
-}
-
 std::vector<Variable*> DagTransformerLayer::Parameters() {
   std::vector<Variable*> out = attention_.Parameters();
   for (auto* p : ffn_in_.Parameters()) out.push_back(p);

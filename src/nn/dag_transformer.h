@@ -20,11 +20,6 @@ class DagTransformerLayer : public Module {
   [[nodiscard]] autograd::Variable Forward(const autograd::Variable& x,
                                            const tensor::Tensor& reachability_mask) const;
 
-  /// Tape-free forward into ctx's arena; null mask = unrestricted attention.
-  [[nodiscard]] tensor::MatRef InferForward(tensor::ConstMat x,
-                                            const tensor::Tensor* reachability_mask,
-                                            InferenceContext& ctx) const;
-
   [[nodiscard]] std::vector<autograd::Variable*> Parameters() override;
   [[nodiscard]] std::vector<NamedParameter> NamedParameters() override;
 

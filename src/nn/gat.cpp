@@ -39,30 +39,6 @@ Variable GatConv::Forward(const Variable& x, const std::vector<std::int32_t>& ed
   return autograd::AddRowVector(aggregated, bias_);
 }
 
-tensor::MatRef GatConv::InferForward(tensor::ConstMat x,
-                                     const std::vector<std::int32_t>& edge_src,
-                                     const std::vector<std::int32_t>& edge_dst,
-                                     InferenceContext& ctx) const {
-  if (edge_src.size() != edge_dst.size()) {
-    throw std::invalid_argument("GatConv: edge arrays must have equal length");
-  }
-  const std::int64_t n = x.rows;
-  const tensor::MatRef h = linear_.InferForward(x, ctx);  // (n, out)
-  const tensor::MatRef src_scores =
-      infer::MatMul(ctx, h, infer::View(attn_src_.value()));  // (n, 1)
-  const tensor::MatRef dst_scores =
-      infer::MatMul(ctx, h, infer::View(attn_dst_.value()));  // (n, 1)
-  tensor::MatRef e = infer::IndexSelectRows(ctx, src_scores, edge_src);  // (E, 1)
-  infer::AddInPlace(e, infer::IndexSelectRows(ctx, dst_scores, edge_dst));
-  infer::LeakyReluInPlace(e, negative_slope_);
-  const tensor::MatRef alpha = infer::SegmentSoftmax(ctx, e, edge_dst, n);  // (E, 1)
-  tensor::MatRef messages = infer::IndexSelectRows(ctx, h, edge_src);       // (E, out)
-  infer::RowScaleInPlace(messages, alpha);
-  tensor::MatRef aggregated = infer::SegmentSum(ctx, messages, edge_dst, n);  // (n, out)
-  infer::AddRowVectorInPlace(aggregated, bias_.value());
-  return aggregated;
-}
-
 std::vector<Variable*> GatConv::Parameters() {
   std::vector<Variable*> out = linear_.Parameters();
   out.push_back(&attn_src_);

@@ -22,12 +22,6 @@ class GatConv : public Module {
                                            const std::vector<std::int32_t>& edge_src,
                                            const std::vector<std::int32_t>& edge_dst) const;
 
-  /// Tape-free forward into ctx's arena.
-  [[nodiscard]] tensor::MatRef InferForward(tensor::ConstMat x,
-                                            const std::vector<std::int32_t>& edge_src,
-                                            const std::vector<std::int32_t>& edge_dst,
-                                            InferenceContext& ctx) const;
-
   [[nodiscard]] std::vector<autograd::Variable*> Parameters() override;
   [[nodiscard]] std::vector<NamedParameter> NamedParameters() override;
 

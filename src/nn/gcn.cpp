@@ -13,11 +13,6 @@ Variable GcnConv::Forward(const Variable& x, std::shared_ptr<const tensor::Csr> 
   return autograd::SpMM(std::move(adj_norm), std::move(adj_norm_t), linear_.Forward(x));
 }
 
-tensor::MatRef GcnConv::InferForward(tensor::ConstMat x, const tensor::Csr& adj_norm,
-                                     InferenceContext& ctx) const {
-  return infer::SpMM(ctx, adj_norm, linear_.InferForward(x, ctx));
-}
-
 std::vector<Variable*> GcnConv::Parameters() { return linear_.Parameters(); }
 
 std::vector<NamedParameter> GcnConv::NamedParameters() {

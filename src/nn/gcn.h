@@ -20,10 +20,6 @@ class GcnConv : public Module {
       const autograd::Variable& x, std::shared_ptr<const tensor::Csr> adj_norm,
       std::shared_ptr<const tensor::Csr> adj_norm_t) const;
 
-  /// Tape-free forward into ctx's arena (Â^T is only needed for gradients).
-  [[nodiscard]] tensor::MatRef InferForward(tensor::ConstMat x, const tensor::Csr& adj_norm,
-                                            InferenceContext& ctx) const;
-
   [[nodiscard]] std::vector<autograd::Variable*> Parameters() override;
   [[nodiscard]] std::vector<NamedParameter> NamedParameters() override;
 

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/simd.h"
-
 namespace predtop::nn {
 
 using autograd::Variable;
@@ -50,44 +48,6 @@ std::shared_ptr<const Linear::InferWeights> Linear::SnapshotInferWeights() const
   return cached;
 }
 
-tensor::MatRef Linear::InferForward(tensor::ConstMat x, InferenceContext& ctx) const {
-  if (x.cols != in_) throw std::invalid_argument("Linear::InferForward: feature width mismatch");
-  const std::int64_t m = x.rows;
-  tensor::MatRef y{};
-  // Tier selection must match tensor::MatMul(x, W) exactly for parity.
-  if (tensor::UsePackedGemm(m, in_, out_)) {
-    const auto cached = SnapshotInferWeights();
-    y = ctx.arena().Alloc(m, out_);
-    tensor::MatMulPackedInto(x.data, m, cached->pack, y.data);
-  } else if (out_ < 16 && in_ >= 16) {
-    const auto cached = SnapshotInferWeights();
-    const float* wt = cached->weight_t.data().data();
-    y = ctx.arena().Alloc(m, out_);
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* xrow = x.data + i * in_;
-      float* yrow = y.data + i * out_;
-      for (std::int64_t j = 0; j < out_; ++j) {
-        yrow[j] = tensor::simd::Dot(xrow, wt + j * in_, in_);
-      }
-    }
-  } else {
-    y = ctx.arena().AllocZeroed(m, out_);
-    const float* pw = weight_.value().data().data();
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* xrow = x.data + i * in_;
-      float* yrow = y.data + i * out_;
-      for (std::int64_t kk = 0; kk < in_; ++kk) {
-        const float av = xrow[kk];
-        if (av == 0.0f) continue;  // same skip as the training kernel
-        const float* wrow = pw + kk * out_;
-        for (std::int64_t j = 0; j < out_; ++j) yrow[j] += av * wrow[j];
-      }
-    }
-  }
-  if (bias_.defined()) infer::AddRowVectorInPlace(y, bias_.value());
-  return y;
-}
-
 std::vector<Variable*> Linear::Parameters() {
   std::vector<Variable*> out{&weight_};
   if (bias_.defined()) out.push_back(&bias_);
@@ -113,15 +73,6 @@ Variable Mlp::Forward(const Variable& x) const {
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     h = layers_[i].Forward(h);
     if (i + 1 < layers_.size()) h = autograd::Relu(h);
-  }
-  return h;
-}
-
-tensor::MatRef Mlp::InferForward(tensor::ConstMat x, InferenceContext& ctx) const {
-  tensor::MatRef h = layers_.front().InferForward(x, ctx);
-  for (std::size_t i = 1; i < layers_.size(); ++i) {
-    infer::ReluInPlace(h);
-    h = layers_[i].InferForward(h, ctx);
   }
   return h;
 }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "autograd/functions.h"
-#include "nn/infer.h"
 #include "nn/module.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -21,14 +20,6 @@ class Linear : public Module {
          bool with_bias = true);
 
   [[nodiscard]] autograd::Variable Forward(const autograd::Variable& x) const;
-
-  /// Tape-free forward into ctx's arena, mirroring Forward()'s kernel
-  /// dispatch exactly: the packed tier multiplies against a cached packed
-  /// copy of the weight (rebuilt lazily when ParameterEpoch moves), the
-  /// narrow-output tier against a cached W^T. Safe to call from many threads
-  /// concurrently; the cache mutex is per-layer and only contended on the
-  /// (rare) repack after a parameter mutation.
-  [[nodiscard]] tensor::MatRef InferForward(tensor::ConstMat x, InferenceContext& ctx) const;
 
   [[nodiscard]] std::vector<autograd::Variable*> Parameters() override;
   [[nodiscard]] std::vector<NamedParameter> NamedParameters() override;
@@ -81,9 +72,6 @@ class Mlp : public Module {
   Mlp(std::vector<std::int64_t> dims, util::Rng& rng);
 
   [[nodiscard]] autograd::Variable Forward(const autograd::Variable& x) const;
-
-  /// Tape-free forward (Linear fast paths + in-place ReLU between layers).
-  [[nodiscard]] tensor::MatRef InferForward(tensor::ConstMat x, InferenceContext& ctx) const;
 
   [[nodiscard]] std::vector<autograd::Variable*> Parameters() override;
   [[nodiscard]] std::vector<NamedParameter> NamedParameters() override;

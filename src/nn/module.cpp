@@ -1,11 +1,25 @@
 #include "nn/module.h"
 
+#include <atomic>
 #include <stdexcept>
 
-#include "nn/infer.h"
 #include "nn/serialize.h"
 
 namespace predtop::nn {
+
+namespace {
+
+std::atomic<std::uint64_t> g_parameter_epoch{1};
+
+}  // namespace
+
+std::uint64_t ParameterEpoch() noexcept {
+  return g_parameter_epoch.load(std::memory_order_acquire);
+}
+
+void BumpParameterEpoch() noexcept {
+  g_parameter_epoch.fetch_add(1, std::memory_order_acq_rel);
+}
 
 std::size_t Module::ParameterCount() {
   std::size_t n = 0;

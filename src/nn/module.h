@@ -6,6 +6,7 @@
 // architecture mismatches by name instead of by position.
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -48,6 +49,18 @@ class Module {
   void Save(std::ostream& out);
   void Load(std::istream& in);
 };
+
+/// Process-wide monotonic counter of in-place parameter mutations. Cached
+/// derived forms of the weights (nn::Linear's packed snapshots and the
+/// compiled programs' snapshots built from them) record the epoch they were
+/// built at and rebuild lazily when it has moved. Starts at 1 so "epoch 0"
+/// is always stale. Concurrent inference is supported; mutating parameters
+/// concurrently with inference on the same module is not.
+[[nodiscard]] std::uint64_t ParameterEpoch() noexcept;
+/// Call after mutating any parameter Variable's value in place outside the
+/// optimizer / RestoreParameters / state-dict paths (those bump it
+/// themselves).
+void BumpParameterEpoch() noexcept;
 
 /// Append `child`'s named parameters under `prefix` + "." (helper for
 /// composite modules building their own NamedParameters()).

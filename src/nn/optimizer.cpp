@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "nn/infer.h"
-
 namespace predtop::nn {
 
 Adam::Adam(Module& model, AdamConfig config) : model_(model), config_(config) {

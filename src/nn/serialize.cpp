@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "fault/status.h"
-#include "nn/infer.h"
 
 namespace predtop::nn {
 

@@ -17,7 +17,7 @@
 // the registry's shared_ptr replacement means in-flight predictions against
 // the old model finish safely while new queries see the new version.
 // Loading bumps the global parameter epoch, which invalidates every cached
-// packed-weight block, so the tape-free fast path can never serve stale
+// packed-weight block, so compiled inference can never serve stale
 // weights. Serving-side *result* caches (PredictionService's LRU) are the
 // caller's to clear — wire OnSwap to PredictionService::ClearCache.
 

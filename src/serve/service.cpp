@@ -141,22 +141,11 @@ std::vector<double> PredictionService::PredictMany(
     if (first_of.emplace(cache_keys[i], distinct.size()).second) distinct.push_back(i);
   }
 
+  // All owned misses run through ONE PredictBatch call, which groups by
+  // shape class, amortizes program/snapshot/plan resolution per group, and
+  // runs the groups on the service pool.
   std::vector<double> distinct_values(distinct.size(), 0.0);
-  if (compile::CompileEnabled() && core::LatencyRegressor::FastInferActive()) {
-    // Batch-compiled path: all owned misses run through ONE PredictBatch
-    // call, which groups by shape class, amortizes program/snapshot/plan
-    // resolution per group, and runs the groups on the service pool.
-    PredictDistinctBatched(key, graphs, cache_keys, distinct, distinct_values,
-                           deadline_us);
-  } else {
-    // No compiled fast path (PREDTOP_COMPILE=0 or PREDTOP_FAST_INFER=0):
-    // distinct misses fan out across the service pool, one sequential
-    // forward each.
-    pool_.ParallelFor(distinct.size(), [&](std::size_t d) {
-      const std::size_t i = distinct[d];
-      distinct_values[d] = PredictWithKey(key, *graphs[i], cache_keys[i], deadline_us);
-    });
-  }
+  PredictDistinctBatched(key, graphs, cache_keys, distinct, distinct_values, deadline_us);
 
   std::vector<double> results(graphs.size(), 0.0);
   for (std::size_t i = 0; i < graphs.size(); ++i) {

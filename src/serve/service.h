@@ -9,23 +9,22 @@
 //   2. in-flight coalescing — concurrent requests for the same (model,
 //      stage) join one computation instead of duplicating the forward pass
 //      (micro-batching of an identical-query burst into a single forward);
-//   3. a predictor forward pass — by default the tape-free fast path
-//      (LatencyRegressor::PredictSeconds → StagePredictor::InferScalar),
-//      which allocates activations from a per-thread tensor arena and
-//      multiplies against per-layer cached packed weights. Safe to run
-//      concurrently across requests: each worker thread owns its arena
-//      (nn::ThreadLocalInferenceContext), the packed-weight caches are
-//      immutable snapshots swapped under a per-layer mutex, and the DAG
-//      Transformer's depth-keyed positional-encoding cache takes a
-//      short per-model lock only around map lookup/insert (the encoding
-//      itself is computed outside the lock).
+//   3. a predictor forward pass (LatencyRegressor::PredictSeconds →
+//      StagePredictor::Infer): the compiled program for the stage's shape
+//      class, whose activations live at planned offsets in a per-thread
+//      buffer and whose weights are per-epoch packed snapshots; an input the
+//      program builder refuses is answered on the autograd tape. Safe to run
+//      concurrently across requests: each worker thread owns its plan
+//      buffer, the weight snapshots are immutable and swapped under a
+//      per-program mutex, and the DAG Transformer's depth-keyed
+//      positional-encoding cache takes a short per-model lock only around
+//      map lookup/insert (the encoding itself is computed outside the lock).
 //
 // PredictMany additionally batches a caller-provided query set: duplicates
-// inside the batch collapse to one forward each, and the distinct misses fan
-// out across the service's ThreadPool — one inference arena per worker falls
-// out of the thread_local context, no per-request allocation churn. Failures
-// propagate to every waiter (never swallowed) via the pool's exception
-// plumbing. The inter-op plan search feeds its whole stage-latency table
+// inside the batch collapse to one forward each, and the distinct misses run
+// through one LatencyRegressor::PredictBatch call whose shape groups fan out
+// across the service's ThreadPool. Failures propagate to every waiter (never
+// swallowed). The inter-op plan search feeds its whole stage-latency table
 // through this path via serve::ServingOracle::AsBatchOracle — one
 // PredictMany call per mesh model instead of one Predict per DP table cell.
 
@@ -54,9 +53,7 @@ struct ServiceOptions {
   /// PredictBatch) and ServingOracle::PredictBatch prices its per-mesh
   /// buckets concurrently. ParallelFor's calling thread runs tasks too, so
   /// a 1-worker pool would still spread forwards over two threads: with
-  /// threads = 1 the compiled path keeps them on the calling thread. (With
-  /// the compiled path off, PredictMany fans one forward per miss across
-  /// the pool at any size.)
+  /// threads = 1 PredictMany keeps them on the calling thread.
   std::size_t threads = 1;
   /// Shed headroom for deadline-carrying queries: a forward is skipped (and
   /// the query fails typed kDeadlineExceeded) unless at least this many
@@ -102,9 +99,8 @@ class PredictionService {
 
   /// Micro-batched query: duplicate stages inside the batch are predicted
   /// once. Distinct misses run through one compiled batch call whose shape
-  /// groups fan out across the service pool (ServiceOptions::threads > 1),
-  /// or one forward per miss on the pool when the compiled fast path is
-  /// off. Returns latencies parallel to `graphs`. A nonzero `deadline_us` sheds every
+  /// groups fan out across the service pool (ServiceOptions::threads > 1).
+  /// Returns latencies parallel to `graphs`. A nonzero `deadline_us` sheds every
   /// not-yet-forwarded query once the deadline (minus the configured margin)
   /// passes; the batch fails as a whole with kDeadlineExceeded.
   [[nodiscard]] std::vector<double> PredictMany(
@@ -132,7 +128,7 @@ class PredictionService {
                                       std::uint64_t cache_key,
                                       std::uint64_t deadline_us = 0);
 
-  /// PredictMany's batch-compiled miss path: probe/shed/claim each distinct
+  /// PredictMany's miss path: probe/shed/claim each distinct
   /// query, then run ALL owned misses through one LatencyRegressor::
   /// PredictBatch call on ForwardPool(), fulfilling every promise with
   /// per-query cache-put, fault-injection, and late accounting identical to

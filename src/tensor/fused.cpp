@@ -78,29 +78,6 @@ float MaskedSoftmaxRetryRow(const float* lrow, const float* mrow, float* orow,
   return total > 0.0f ? 1.0f / total : 0.0f;
 }
 
-void DeferredSoftmaxRowWindow(const float* lrow, const float* mrow, float* orow,
-                              std::int64_t cols, std::int64_t lo, std::int64_t hi,
-                              float* inv) noexcept {
-  lo = std::clamp<std::int64_t>(lo, 0, cols);
-  hi = std::clamp<std::int64_t>(hi, lo, cols);
-  std::fill(orow, orow + lo, 0.0f);
-  std::fill(orow + hi, orow + cols, 0.0f);
-  if (hi <= lo) {
-    *inv = 0.0f;
-    return;
-  }
-  const std::int64_t w = hi - lo;
-  const float maxv = simd::MaskedRowMax(lrow + lo, nullptr, w);
-  const float total = simd::ExpShiftedNonPositiveSumN(
-      lrow + lo, mrow != nullptr ? mrow + lo : nullptr, maxv, orow + lo, w);
-  if (total > 0.0f) {
-    *inv = 1.0f / total;
-    return;
-  }
-  *inv = MaskedSoftmaxRetryRow(lrow + lo, mrow != nullptr ? mrow + lo : nullptr,
-                               orow + lo, w);
-}
-
 void DeferredSoftmaxRowChunks(const float* lrow, float* orow, std::int64_t cols,
                               const std::int32_t* chunks, std::int64_t num_chunks,
                               float* inv) noexcept {

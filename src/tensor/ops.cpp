@@ -414,7 +414,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Require(b.dim(0) == k, "MatMul: inner dimension mismatch");
   if (UsePackedGemm(m, k, n)) {
     // Pack into a per-thread scratch so back-to-back training GEMMs reuse the
-    // allocation; the inference fast path instead multiplies against packs
+    // allocation; compiled inference instead multiplies against packs
     // cached per nn::Linear, hitting the identical kernel (and therefore the
     // identical bits) without the per-call packing.
     thread_local PackedB scratch;

@@ -8,7 +8,7 @@
 //  - a register-blocked kernel over a B matrix packed into column panels
 //    (PackB / MatMulPacked), which keeps a kGemmMr x kGemmPanel accumulator
 //    tile in registers and streams packed panels — ~3-4x the i-k-j kernel at
-//    256^3 and the backbone of the tape-free inference fast path (packed
+//    256^3 and the backbone of the compiled inference programs (packed
 //    weights are cached per nn::Linear);
 //  - a ParallelFor-over-row-panels variant of the packed kernel on a shared
 //    process-wide util::ThreadPool for large m (PREDTOP_GEMM_THREADS /
@@ -43,7 +43,7 @@ inline constexpr std::int64_t kGemmRowFloor = 6;
 /// B(k, n) packed panel-major: panel p holds columns [p*kGemmPanel, ...) laid
 /// out k-major (kGemmPanel contiguous floats per k step), the last panel
 /// zero-padded to full width. Reusable across many multiplies — nn::Linear
-/// caches one per weight matrix for the inference fast path.
+/// caches one per weight matrix for the compiled inference programs.
 struct PackedB {
   std::int64_t k = 0;
   std::int64_t n = 0;

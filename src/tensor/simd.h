@@ -95,7 +95,7 @@ inline F16 Broadcast16(float v) noexcept {
 
 /// Sum over i of (x[i] - c)^2. Lane-split reduction: the value can differ
 /// from a sequential sum in the last bits (callers accept ~1e-7 relative
-/// divergence; see infer::LayerNorm).
+/// divergence; see fused::LayerNormRow).
 [[nodiscard]] inline float SumSquaredDiff(const float* __restrict x, float c,
                                           std::int64_t n) noexcept {
 #ifdef PREDTOP_HAVE_VECTOR_EXT

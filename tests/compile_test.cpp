@@ -33,9 +33,7 @@
 #include "graph/op_dag.h"
 #include "ir/stages.h"
 #include "ir/types.h"
-#include "nn/infer.h"
 #include "nn/optimizer.h"
-#include "tensor/arena.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -74,25 +72,23 @@ graph::EncodedGraph TinyEncodedStage(std::int32_t first = 1, std::int32_t last =
 constexpr PredictorKind kAllKinds[] = {PredictorKind::kDagTransformer, PredictorKind::kGcn,
                                        PredictorKind::kGat};
 
-/// Restores the compile flag on scope exit so a failing assertion cannot
-/// leak a disabled state into later tests.
-struct ScopedInferenceConfig {
-  ~ScopedInferenceConfig() { compile::SetCompileEnabled(true); }
-};
-
-/// The compiled prediction for g, asserting the compiled path actually ran
-/// (the plan buffer is touched only by compile::Execute).
+/// The compiled prediction for g, asserting the compiled path actually ran:
+/// a program is cached for g's shape class and the thread's plan buffer
+/// (touched only by compile::Execute) holds it.
 float CompiledScalar(StagePredictor& model, const graph::EncodedGraph& g) {
-  compile::SetCompileEnabled(true);
-  const float y = model.InferScalar(g, nn::ThreadLocalInferenceContext());
-  EXPECT_GT(compile::ThreadPlanBufferFloats(), 0) << model.Name() << ": fell back";
+  const float y = model.Infer(g);
+  const auto program = compile::ProgramCache::Global().Lookup(
+      model.InstanceId(), g.num_nodes, static_cast<std::int64_t>(g.edge_src.size()));
+  EXPECT_TRUE(program.has_value() && *program != nullptr) << model.Name() << ": fell back";
+  if (program.has_value() && *program != nullptr) {
+    EXPECT_GE(compile::ThreadPlanBufferFloats(), (*program)->PlanFloats()) << model.Name();
+  }
   return y;
 }
 
-// ---- fp32 parity: compiled program vs autograd tape vs op-by-op path ----
+// ---- fp32 parity: compiled program vs autograd tape ----
 
-TEST(CompiledParity, AllPredictorsMatchTapeAndFastPath) {
-  ScopedInferenceConfig guard;
+TEST(CompiledParity, AllPredictorsMatchTape) {
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
@@ -101,16 +97,10 @@ TEST(CompiledParity, AllPredictorsMatchTapeAndFastPath) {
     ASSERT_TRUE(std::isfinite(compiled)) << model->Name();
     EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
         << model->Name() << ": tape=" << tape << " compiled=" << compiled;
-    compile::SetCompileEnabled(false);
-    const float fast = model->InferScalar(g, nn::ThreadLocalInferenceContext());
-    compile::SetCompileEnabled(true);
-    EXPECT_LE(std::abs(compiled - fast), 1e-6f * std::max(1.0f, std::abs(fast)))
-        << model->Name() << ": fast=" << fast << " compiled=" << compiled;
   }
 }
 
 TEST(CompiledParity, DagTransformerAblationsMatchTape) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const bool use_dagra : {true, false}) {
     for (const bool use_dagpe : {true, false}) {
@@ -127,7 +117,6 @@ TEST(CompiledParity, DagTransformerAblationsMatchTape) {
 }
 
 TEST(CompiledParity, SnapshotTracksOptimizerStep) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
@@ -145,7 +134,6 @@ TEST(CompiledParity, SnapshotTracksOptimizerStep) {
 }
 
 TEST(CompiledParity, MultipleShapeClassesCoexist) {
-  ScopedInferenceConfig guard;
   const std::vector<graph::EncodedGraph> graphs{
       TinyEncodedStage(0, 1), TinyEncodedStage(1, 2), TinyEncodedStage(0, 3)};
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
@@ -179,33 +167,22 @@ graph::EncodedGraph EncodedDiamond(const std::vector<std::int32_t>& order) {
 }
 
 TEST(CompiledParity, DepthEncodingCacheSeparatesNodeOrders) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph a = EncodedDiamond({0, 1, 2, 3});
   const graph::EncodedGraph b = EncodedDiamond({0, 3, 1, 2});
   ASSERT_EQ(a.depths, (std::vector<std::int32_t>{0, 1, 1, 2}));
   ASSERT_EQ(b.depths, (std::vector<std::int32_t>{0, 2, 1, 1}));
   ASSERT_EQ(graph::EncodedGraphFingerprint(a), graph::EncodedGraphFingerprint(b));
   using Sequence = std::array<const graph::EncodedGraph*, 2>;
-  for (const bool compiled : {false, true}) {
-    for (const Sequence& sequence : {Sequence{&a, &b}, Sequence{&b, &a}}) {
-      // A fresh model per sequence, so its depth-encoding cache starts empty
-      // and the second graph is predicted after the first one's entry exists.
-      auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
-      for (const graph::EncodedGraph* g : sequence) {
-        const float tape = model->Forward(*g).value().data()[0];
-        float got = 0.0f;
-        if (compiled) {
-          got = CompiledScalar(*model, *g);
-        } else {
-          compile::SetCompileEnabled(false);
-          got = model->InferScalar(*g, nn::ThreadLocalInferenceContext());
-          compile::SetCompileEnabled(true);
-        }
-        EXPECT_LE(std::abs(got - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
-            << (compiled ? "compiled" : "fast") << " depths[1]=" << g->depths[1]
-            << " first=" << (sequence[0] == &a ? "a" : "b") << ": tape=" << tape
-            << " got=" << got;
-      }
+  for (const Sequence& sequence : {Sequence{&a, &b}, Sequence{&b, &a}}) {
+    // A fresh model per sequence, so its depth-encoding cache starts empty
+    // and the second graph is predicted after the first one's entry exists.
+    auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
+    for (const graph::EncodedGraph* g : sequence) {
+      const float tape = model->Forward(*g).value().data()[0];
+      const float got = CompiledScalar(*model, *g);
+      EXPECT_LE(std::abs(got - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
+          << "depths[1]=" << g->depths[1] << " first=" << (sequence[0] == &a ? "a" : "b")
+          << ": tape=" << tape << " got=" << got;
     }
   }
 }
@@ -213,7 +190,6 @@ TEST(CompiledParity, DepthEncodingCacheSeparatesNodeOrders) {
 // ---- determinism and the allocation-free warm forward ----
 
 TEST(CompiledDeterminism, RepeatedExecuteIsBitIdentical) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
@@ -225,17 +201,12 @@ TEST(CompiledDeterminism, RepeatedExecuteIsBitIdentical) {
 }
 
 TEST(CompiledArena, WarmForwardAllocatesNothing) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph g = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
-    nn::InferenceContext& ctx = nn::ThreadLocalInferenceContext();
     (void)CompiledScalar(*model, g);  // cold: builds program, grows plan buffer
     const std::int64_t plan_floats = compile::ThreadPlanBufferFloats();
-    ctx.BeginForward();  // rewind the arena so its epoch counter reads zero
     for (int i = 0; i < 3; ++i) (void)CompiledScalar(*model, g);
-    EXPECT_EQ(ctx.arena().EpochFloats(), 0)
-        << model->Name() << ": compiled forward touched the dynamic arena";
     EXPECT_EQ(compile::ThreadPlanBufferFloats(), plan_floats)
         << model->Name() << ": warm forward grew the plan buffer";
   }
@@ -321,7 +292,6 @@ PredictorOptions PaperOptions() {
 }
 
 TEST(FusedParity, PaperScaleGraphTakesFusedKernelAndMatchesTape) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph& g = PaperScaleStage();
   const std::int64_t n = g.num_nodes;
   // Preconditions for the fused kernel (dim 64, head_dim 16).
@@ -345,18 +315,12 @@ TEST(FusedParity, PaperScaleGraphTakesFusedKernelAndMatchesTape) {
     EXPECT_EQ(fused, 4) << "expected every layer's attention to fuse";
     EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)))
         << "dagra=" << use_dagra << ": tape=" << tape << " compiled=" << compiled;
-    compile::SetCompileEnabled(false);
-    const float fast = model->InferScalar(g, nn::ThreadLocalInferenceContext());
-    compile::SetCompileEnabled(true);
-    EXPECT_LE(std::abs(compiled - fast), 1e-6f * std::max(1.0f, std::abs(fast)))
-        << "dagra=" << use_dagra << ": fast=" << fast << " compiled=" << compiled;
   }
 }
 
 // ---- program cache ----
 
 TEST(ProgramCache, EntriesAreEvictedWhenOwnerDies) {
-  ScopedInferenceConfig guard;
   auto& cache = compile::ProgramCache::Global();
   cache.Clear();
   const graph::EncodedGraph g = TinyEncodedStage();
@@ -369,7 +333,6 @@ TEST(ProgramCache, EntriesAreEvictedWhenOwnerDies) {
 }
 
 TEST(ProgramCache, LruStaysWithinCapacity) {
-  ScopedInferenceConfig guard;
   auto& cache = compile::ProgramCache::Global();
   cache.Clear();
   cache.SetCapacity(2);
@@ -383,26 +346,12 @@ TEST(ProgramCache, LruStaysWithinCapacity) {
     EXPECT_LE(std::abs(compiled - tape), 1e-6f * std::max(1.0f, std::abs(tape)));
     EXPECT_LE(cache.Size(), 2u);
   }
-  cache.SetCapacity(128);
-}
-
-TEST(ProgramCache, DisabledFlagFallsBackToFastPath) {
-  ScopedInferenceConfig guard;
-  auto& cache = compile::ProgramCache::Global();
-  cache.Clear();
-  compile::SetCompileEnabled(false);
-  const graph::EncodedGraph g = TinyEncodedStage();
-  auto model = MakePredictor(PredictorKind::kGcn, TinyOptions());
-  const float tape = model->Forward(g).value().data()[0];
-  const float fast = model->InferScalar(g, nn::ThreadLocalInferenceContext());
-  EXPECT_LE(std::abs(fast - tape), 1e-6f * std::max(1.0f, std::abs(tape)));
-  EXPECT_EQ(cache.Size(), 0u);  // the gate short-circuits before compiling
+  cache.SetCapacity(compile::ProgramCache::kDefaultCapacity);
 }
 
 // ---- concurrency (exercised under TSan via ci/run.sh tsan) ----
 
 TEST(CompiledConcurrency, SharedModelConcurrentCompiledForwardIsStable) {
-  ScopedInferenceConfig guard;
   const std::vector<graph::EncodedGraph> graphs{
       TinyEncodedStage(0, 1), TinyEncodedStage(1, 2), TinyEncodedStage(2, 3),
       TinyEncodedStage(0, 3)};
@@ -415,8 +364,7 @@ TEST(CompiledConcurrency, SharedModelConcurrentCompiledForwardIsStable) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 16; ++i) {
         const std::size_t which = static_cast<std::size_t>(t + i) % graphs.size();
-        const float y =
-            model->InferScalar(graphs[which], nn::ThreadLocalInferenceContext());
+        const float y = model->Infer(graphs[which]);
         if (y != expected[which]) mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -476,7 +424,6 @@ void ExpectBatchParity(StagePredictor& model, const BatchFixture& f, std::size_t
 constexpr std::size_t kBatchSizes[] = {1, 2, 7, 64};
 
 TEST(CompiledBatch, StackedModeMatchesSequentialBitExact) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
@@ -491,7 +438,6 @@ TEST(CompiledBatch, StackedModeMatchesSequentialBitExact) {
 }
 
 TEST(CompiledBatch, InterleavedModeMatchesAcrossThreadCounts) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   for (const PredictorKind kind : kAllKinds) {
     auto model = MakePredictor(kind, TinyOptions());
@@ -510,7 +456,6 @@ TEST(CompiledBatch, InterleavedModeMatchesAcrossThreadCounts) {
 }
 
 TEST(CompiledBatch, DagTransformerAblationsMatchInBatch) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   for (const bool use_dagra : {true, false}) {
     for (const bool use_dagpe : {true, false}) {
@@ -528,7 +473,6 @@ TEST(CompiledBatch, DagTransformerAblationsMatchInBatch) {
 }
 
 TEST(CompiledBatch, AutoModeCountsEveryQuery) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
   const BatchFixture f = MakeBatchFixture(*model, base, 5);
@@ -540,7 +484,6 @@ TEST(CompiledBatch, AutoModeCountsEveryQuery) {
 }
 
 TEST(CompiledBatch, RegressorBatchMatchesSequentialAcrossShapes) {
-  ScopedInferenceConfig guard;
   // Three shape classes, interleaved and with same-shape duplicates: the
   // regressor must split per shape, run each group batched, and scatter the
   // results back in caller order.
@@ -595,7 +538,6 @@ const std::vector<const graph::EncodedGraph*>& SearchDistinctGraphs() {
 }
 
 TEST(CompiledBatch, RegressorBatchFanOutMatchesPerGraphOnEveryPool) {
-  ScopedInferenceConfig guard;
   // The search's distinct graphs plus same-shape copies that join a group:
   // three of the 4-node diamond, whose forward is too small to interleave
   // (stacked), and three of the largest search graph (interleaved).
@@ -644,7 +586,6 @@ TEST(CompiledBatch, RegressorBatchFanOutMatchesPerGraphOnEveryPool) {
 }
 
 TEST(CompiledBatch, AutoModeCrossoverFollowsLinearFlops) {
-  ScopedInferenceConfig guard;
   // A one-worker pool plus the calling thread makes kAuto's thread condition
   // hold on any host, so the per-query linear FLOPs alone decide the path:
   // the tiny trunk stays stacked, the paper-size dim-64 trunk interleaves.
@@ -682,7 +623,6 @@ TEST(CompiledBatch, AutoModeCrossoverFollowsLinearFlops) {
 }
 
 TEST(CompiledBatchArena, WarmBatchAllocatesNothing) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
   const BatchFixture f = MakeBatchFixture(*model, base, 8);
@@ -693,19 +633,14 @@ TEST(CompiledBatchArena, WarmBatchAllocatesNothing) {
   ASSERT_TRUE(model->TryInferCompiledBatch(f.ptrs.data(), 8, out.data(), opts));
   const std::int64_t batch_floats = compile::ThreadBatchBufferFloats();
   EXPECT_GT(batch_floats, 0);
-  nn::InferenceContext& ctx = nn::ThreadLocalInferenceContext();
-  ctx.BeginForward();  // rewind the arena so its epoch counter reads zero
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(model->TryInferCompiledBatch(f.ptrs.data(), 8, out.data(), opts));
   }
-  EXPECT_EQ(ctx.arena().EpochFloats(), 0)
-      << "warm batched forward touched the dynamic arena";
   EXPECT_EQ(compile::ThreadBatchBufferFloats(), batch_floats)
       << "warm batched forward grew the plan buffer";
 }
 
 TEST(ProgramCache, HitAndMissCountersAreMonotonic) {
-  ScopedInferenceConfig guard;
   auto& cache = compile::ProgramCache::Global();
   cache.Clear();
   const graph::EncodedGraph g = TinyEncodedStage();
@@ -724,7 +659,6 @@ TEST(ProgramCache, HitAndMissCountersAreMonotonic) {
 // shared model hit the program cache, the weight snapshot, and the per-thread
 // batch buffers from many threads at once.
 TEST(CompiledBatchConcurrency, SharedModelConcurrentBatchForwardIsStable) {
-  ScopedInferenceConfig guard;
   const graph::EncodedGraph base = TinyEncodedStage();
   auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
   const BatchFixture f = MakeBatchFixture(*model, base, 6);

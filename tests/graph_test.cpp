@@ -15,6 +15,7 @@
 #include "graph/op_dag.h"
 #include "graph/prune.h"
 #include "graph/reachability.h"
+#include "random_dag.h"
 #include "util/rng.h"
 
 namespace predtop::graph {
@@ -26,18 +27,6 @@ OpDag ChainDag(std::int32_t n) {
   OpDag dag;
   for (std::int32_t i = 0; i < n; ++i) dag.AddNode({});
   for (std::int32_t i = 0; i + 1 < n; ++i) dag.AddEdge(i, i + 1);
-  return dag;
-}
-
-/// Random DAG: edges only from lower to higher indices (guaranteed acyclic).
-OpDag RandomDag(std::int32_t n, double edge_prob, Rng& rng) {
-  OpDag dag;
-  for (std::int32_t i = 0; i < n; ++i) dag.AddNode({});
-  for (std::int32_t u = 0; u < n; ++u) {
-    for (std::int32_t v = u + 1; v < n; ++v) {
-      if (rng.NextDouble() < edge_prob) dag.AddEdge(u, v);
-    }
-  }
   return dag;
 }
 
@@ -410,6 +399,16 @@ TEST(EncodeGraph, GcnAdjacencyIsSymmetricallyNormalized) {
   const auto& adj = *g.adj_norm;
   EXPECT_EQ(adj.Nnz(), 4u);
   for (const float v : adj.values) EXPECT_NEAR(v, 0.5f, 1e-6f);
+}
+
+TEST(EncodeGraph, CachesFingerprint) {
+  Rng rng(8);
+  EncodedGraph g = EncodeGraph(RandomDag(16, 0.2, rng, 5, 3), 5, 3);
+  EXPECT_NE(g.fingerprint, 0u);
+  const std::uint64_t cached = EncodedGraphFingerprint(g);
+  EXPECT_EQ(cached, g.fingerprint);
+  g.fingerprint = 0;  // force recompute: must agree with the cached value
+  EXPECT_EQ(EncodedGraphFingerprint(g), cached);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "compile/cache.h"
-#include "nn/infer.h"
+#include "nn/module.h"
 #include "serve/online.h"
 #include "serve/service.h"
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <tuple>
@@ -328,6 +330,67 @@ TEST(SpMM, ShapeMismatchThrows) {
   const Csr a = Csr::FromCoo(2, 3, {0}, {0}, {1.0f});
   const Tensor x({2, 2});
   EXPECT_THROW(SpMM(a, x), std::invalid_argument);
+}
+
+// ---- packed GEMM ----
+
+void ExpectTensorsClose(const tensor::Tensor& a, const tensor::Tensor& b, float tol) {
+  ASSERT_EQ(a.numel(), b.numel());
+  for (std::int64_t i = 0; i < a.numel(); ++i) {
+    const float x = a.data()[i];
+    const float y = b.data()[i];
+    ASSERT_LE(std::abs(x - y), tol * std::max(1.0f, std::abs(x))) << "element " << i;
+  }
+}
+
+TEST(PackedGemm, MatchesNaiveAcrossShapes) {
+  // Full panels, ragged panels, ragged row blocks, single rows.
+  const struct { std::int64_t m, k, n; } shapes[] = {
+      {1, 8, 16},  {6, 8, 16},   {7, 33, 16},  {13, 17, 40},
+      {3, 100, 17}, {50, 20, 100}, {64, 64, 64}, {61, 47, 129},
+  };
+  util::Rng rng(11);
+  for (const auto& s : shapes) {
+    const tensor::Tensor a = tensor::Tensor::Randn({s.m, s.k}, rng);
+    const tensor::Tensor b = tensor::Tensor::Randn({s.k, s.n}, rng);
+    const tensor::Tensor packed = tensor::MatMulPacked(a, tensor::PackB(b));
+    ExpectTensorsClose(packed, tensor::MatMulNaive(a, b), 1e-5f);
+  }
+}
+
+TEST(PackedGemm, PackTransposedMatchesPackOfTranspose) {
+  util::Rng rng(12);
+  const tensor::Tensor bt = tensor::Tensor::Randn({40, 23}, rng);  // (n, k)
+  const tensor::Tensor b = tensor::Transpose2D(bt);                // (k, n)
+  tensor::PackedB from_t;
+  tensor::PackBTransposedInto(bt.data().data(), b.dim(0), b.dim(1), from_t);
+  const tensor::PackedB direct = tensor::PackB(b);
+  ASSERT_EQ(from_t.data.size(), direct.data.size());
+  for (std::size_t i = 0; i < direct.data.size(); ++i) {
+    ASSERT_EQ(from_t.data[i], direct.data[i]) << "panel element " << i;
+  }
+}
+
+TEST(PackedGemm, ThreadedIsBitIdenticalToSingleThread) {
+  // Above the default PREDTOP_GEMM_PAR_MIN_ELEMS threshold so the threaded
+  // path actually engages (when more than one hardware thread exists).
+  const std::int64_t m = 600, k = 64, n = 128;
+  util::Rng rng(13);
+  const tensor::Tensor a = tensor::Tensor::Randn({m, k}, rng);
+  const tensor::PackedB b = tensor::PackB(tensor::Tensor::Randn({k, n}, rng));
+  const tensor::Tensor single = tensor::MatMulPacked(a, b, /*allow_threads=*/false);
+  const tensor::Tensor threaded = tensor::MatMulPacked(a, b, /*allow_threads=*/true);
+  for (std::int64_t i = 0; i < single.numel(); ++i) {
+    ASSERT_EQ(single.data()[i], threaded.data()[i]) << "element " << i;
+  }
+}
+
+TEST(PackedGemm, DispatchPredicatesMatchDocumentedShapeFloor) {
+  EXPECT_FALSE(tensor::UsePackedGemm(6, 8, 8));     // n below one panel
+  EXPECT_FALSE(tensor::UsePackedGemm(6, 4, 64));    // k too small
+  EXPECT_FALSE(tensor::UsePackedGemm(2, 64, 64));   // m below one row block
+  EXPECT_FALSE(tensor::UsePackedGemm(16, 16, 16));  // under the work floor
+  EXPECT_TRUE(tensor::UsePackedGemm(64, 64, 64));
 }
 
 }  // namespace
