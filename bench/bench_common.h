@@ -15,8 +15,11 @@
 //
 // Computed MRE grids are cached as CSV in PREDTOP_RESULTS_DIR so that
 // fig08_fig09 (which needs both platforms' grids) and the table binaries
-// share work across processes.
+// share work across processes. Each CSV starts with the configuration that
+// computed it (GridConfigLine); a cache whose line differs is recomputed.
 
+#include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -121,6 +124,34 @@ inline std::vector<Scenario> PlatformScenarios(const sim::ClusterSpec& cluster) 
 inline core::BenchmarkModel PaperGpt3() { return core::Gpt3Benchmark(ir::Gpt3Config{}); }
 inline core::BenchmarkModel PaperMoe() { return core::MoeBenchmark(ir::MoeConfig{}); }
 
+/// The per-mesh training sets of the Fig. 10 PredTOP pipeline (planbench
+/// fig10_predtop, fig10_optimization): GPT-3 on Platform 2, per mesh the
+/// dataset builder's 12% sample of the slices up to the plan search's span
+/// cap, with its per-mesh sample seeds and one shared profiler.
+inline std::vector<core::StageDataset> Fig10TrainingSets() {
+  const core::BenchmarkModel gpt3 = PaperGpt3();
+  const sim::ClusterSpec cluster = sim::Platform2();
+  const std::int32_t devices = cluster.TotalDevices();
+  const std::int32_t min_span = (gpt3.num_layers + devices - 1) / devices;
+  const std::int32_t max_span = std::max(GridConfig{}.gpt_max_span,
+                                         std::min(gpt3.num_layers, min_span + 3));
+  const std::size_t slices = ir::EnumerateStageSlices(gpt3.num_layers, max_span).size();
+  const std::uint64_t seed = GridConfig{}.seed;
+  sim::Profiler profiler({}, seed ^ 0xbeefULL);
+  const auto meshes = sim::PaperMeshes(cluster);
+  std::vector<core::StageDataset> out;
+  for (std::size_t m = 0; m < meshes.size(); ++m) {
+    const parallel::IntraOpCompiler compiler(cluster, meshes[m]);
+    const auto configs = parallel::PaperConfigs(meshes[m]);
+    core::DatasetBuildConfig build;
+    build.num_samples = static_cast<std::size_t>(std::ceil(0.12 * static_cast<double>(slices)));
+    build.max_span = max_span;
+    build.sample_seed = seed + 31 * m;
+    out.push_back(core::BuildStageDatasetBestConfig(gpt3, compiler, configs, profiler, build));
+  }
+  return out;
+}
+
 /// MRE of each predictor for one (scenario, fraction) cell.
 struct CellResult {
   double mre_gcn = 0.0;
@@ -212,9 +243,32 @@ inline std::string GridCsvPath(const GridConfig& grid, const std::string& platfo
          (grid.full ? "_full" : "") + ".csv";
 }
 
-inline void SaveGrid(const MreGrid& grid_data, const std::string& path) {
+/// First line of a grid CSV: every setting that decides the grid's cells.
+/// A cached grid is reused only when its line equals the running one, so a
+/// run with other epochs, samples or model sizes recomputes instead of
+/// printing another configuration's cells. (Fractions are matched per row.)
+inline std::string GridConfigLine(const GridConfig& grid, std::size_t num_samples,
+                                  std::int32_t max_span) {
+  const nn::TrainConfig& t = grid.train;
+  const core::PredictorOptions& p = grid.predictor;
+  std::ostringstream os;
+  os << "# full=" << grid.full << " samples=" << num_samples
+     << " max_span=" << max_span << " epochs=" << t.max_epochs << " patience=" << t.patience
+     << " lr=" << t.base_lr << " batch=" << t.batch_size
+     << " loss=" << static_cast<int>(t.loss) << " shuffle_seed=" << t.shuffle_seed
+     << " threads=" << t.threads << " features=" << p.feature_dim << " dagt=" << p.dagt_dim
+     << 'x' << p.dagt_layers << 'h' << p.dagt_heads << 'f' << p.dagt_ffn_mult
+     << " gcn=" << p.gcn_dim << 'x' << p.gcn_layers << " gat=" << p.gat_dim << 'x'
+     << p.gat_layers << " dagra=" << p.use_dagra << " dagpe=" << p.use_dagpe
+     << " model_seed=" << p.seed << " seed=" << grid.seed;
+  return os.str();
+}
+
+inline void SaveGrid(const MreGrid& grid_data, const std::string& config_line,
+                     const std::string& path) {
   std::filesystem::create_directories(std::filesystem::path(path).parent_path());
   std::ofstream out(path);
+  out << config_line << "\n";
   out << "scenario,fraction_pct,gcn,gat,tran\n";
   for (std::size_t s = 0; s < grid_data.scenario_names.size(); ++s) {
     for (std::size_t f = 0; f < grid_data.fraction_pcts.size(); ++f) {
@@ -225,12 +279,13 @@ inline void SaveGrid(const MreGrid& grid_data, const std::string& path) {
   }
 }
 
-inline std::optional<MreGrid> LoadGrid(const std::string& path,
+inline std::optional<MreGrid> LoadGrid(const std::string& path, const std::string& config_line,
                                        const std::vector<int>& expected_fractions) {
   std::ifstream in(path);
   if (!in) return std::nullopt;
   std::string line;
-  std::getline(in, line);  // header
+  if (!std::getline(in, line) || line != config_line) return std::nullopt;  // other config
+  std::getline(in, line);  // column header
   std::map<std::string, std::map<int, CellResult>> by_scenario;
   std::vector<std::string> scenario_order;
   while (std::getline(in, line)) {
@@ -274,7 +329,8 @@ inline MreGrid EnsureMreGrid(const GridConfig& grid, const sim::ClusterSpec& clu
                              const std::string& benchmark_id, std::size_t num_samples,
                              std::int32_t max_span) {
   const std::string path = GridCsvPath(grid, platform_id, benchmark_id);
-  if (const auto cached = LoadGrid(path, grid.fraction_pcts)) {
+  const std::string config_line = GridConfigLine(grid, num_samples, max_span);
+  if (const auto cached = LoadGrid(path, config_line, grid.fraction_pcts)) {
     std::cerr << "[bench] using cached grid " << path << "\n";
     return *cached;
   }
@@ -306,7 +362,7 @@ inline MreGrid EnsureMreGrid(const GridConfig& grid, const sim::ClusterSpec& clu
     grid_data.scenario_names.push_back(scenario.name);
     grid_data.cells.push_back(std::move(row));
   }
-  SaveGrid(grid_data, path);
+  SaveGrid(grid_data, config_line, path);
   std::cerr << "[bench] grid " << path << " computed in "
             << util::FormatSeconds(total.ElapsedSeconds()) << "\n";
   return grid_data;

@@ -2,8 +2,10 @@
 //
 //  1. A headline comparison suite (runs first, always) that times the GEMM
 //     tiers (naive i-k-j vs packed vs packed+threads), warm tape vs compiled
-//     PredictSeconds on a real GPT-3 stage graph, the encode phase of a cold plan search (one
-//     EncodeStage per slice vs one structure-shared StageEncodings) and its
+//     PredictSeconds on a real GPT-3 stage graph, one tape training step
+//     (forward, backward) per Fig. 10 GPT-3 training graph, the encode phase
+//     of a cold plan search (one EncodeStage per slice vs one
+//     structure-shared StageEncodings) and its
 //     forward phase (cold PredictBatch per mesh, serial vs fanned across a
 //     2- and a 4-worker pool), and writes the results to BENCH_kernels.json
 //     (path overridable via PREDTOP_BENCH_JSON). PREDTOP_BENCH_SMOKE=1
@@ -14,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -22,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "compile/batch.h"
 #include "core/dataset.h"
 #include "core/predictors.h"
@@ -133,6 +137,68 @@ PredictResult RunPredictComparison(bool smoke) {
             << result.tape_s * 1e3 << " ms, compiled " << result.compiled_s * 1e3 << " ms ("
             << result.tape_s / result.compiled_s << "x vs tape)\n";
   return result;
+}
+
+struct TrainStageRow {
+  std::int64_t dim = 0;
+  std::int64_t heads = 0;
+  std::int64_t layers = 0;
+  std::size_t graphs = 0;
+  double mean_nodes = 0.0;
+  double forward_s = 0.0;   // tape Forward per graph
+  double backward_s = 0.0;  // autograd::Backward of its output per graph
+};
+
+std::vector<TrainStageRow> RunTrainStage(bool smoke) {
+  // One tape training step per graph the Fig. 10 pipeline trains on: the
+  // DAG Transformer's Forward, then Backward from its scalar output. Rows at
+  // the plan-search size (2 x 16, 2 heads) and the paper size (4 x 64, 4
+  // heads); each is the best of `passes` timed passes over all graphs.
+  std::vector<graph::EncodedGraph> graphs;
+  for (core::StageDataset& dataset : bench::Fig10TrainingSets()) {
+    for (core::StageSample& sample : dataset.samples) graphs.push_back(std::move(sample.encoded));
+  }
+  double nodes = 0.0;
+  for (const graph::EncodedGraph& g : graphs) nodes += static_cast<double>(g.num_nodes);
+  const int passes = smoke ? 1 : 5;
+  std::vector<TrainStageRow> rows;
+  for (const auto [dim, heads, layers] :
+       {std::array<std::int64_t, 3>{16, 2, 2}, std::array<std::int64_t, 3>{64, 4, 4}}) {
+    core::PredictorOptions options;
+    options.feature_dim = core::StageFeatureDim();
+    options.dagt_dim = dim;
+    options.dagt_heads = heads;
+    options.dagt_layers = layers;
+    const auto model = core::MakePredictor(core::PredictorKind::kDagTransformer, options);
+    TrainStageRow row;
+    row.dim = dim;
+    row.heads = heads;
+    row.layers = layers;
+    row.graphs = graphs.size();
+    row.mean_nodes = nodes / static_cast<double>(graphs.size());
+    row.forward_s = row.backward_s = std::numeric_limits<double>::infinity();
+    for (int pass = 0; pass <= passes; ++pass) {  // pass 0 warms up
+      double forward = 0.0, backward = 0.0;
+      for (const graph::EncodedGraph& g : graphs) {
+        model->ZeroGrad();
+        util::Stopwatch forward_timer;
+        const autograd::Variable out = model->Forward(g);
+        forward += forward_timer.ElapsedSeconds();
+        util::Stopwatch backward_timer;
+        autograd::Backward(out);
+        backward += backward_timer.ElapsedSeconds();
+      }
+      if (pass == 0) continue;
+      row.forward_s = std::min(row.forward_s, forward / static_cast<double>(graphs.size()));
+      row.backward_s = std::min(row.backward_s, backward / static_cast<double>(graphs.size()));
+    }
+    std::cerr << "[bench] train step (" << dim << " x " << layers << ", " << heads
+              << " heads) over " << row.graphs << " Fig. 10 GPT-3 graphs (mean "
+              << row.mean_nodes << " nodes): forward " << row.forward_s * 1e3
+              << " ms, backward " << row.backward_s * 1e3 << " ms per graph\n";
+    rows.push_back(row);
+  }
+  return rows;
 }
 
 struct BatchRow {
@@ -345,7 +411,7 @@ std::vector<PredictSearchRow> RunPredictSearch(bool smoke) {
 }
 
 void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
-               const PredictResult& predict,
+               const PredictResult& predict, const std::vector<TrainStageRow>& train,
                const std::vector<BatchRow>& batch,
                const std::vector<EncodeSearchRow>& encode,
                const std::vector<PredictSearchRow>& forwards, bool smoke) {
@@ -362,6 +428,16 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
   out << "  ],\n  \"predict_gpt3_stage\": {\"graph_nodes\": " << predict.graph_nodes
       << ", \"tape_s\": " << predict.tape_s << ", \"compiled_s\": " << predict.compiled_s
       << ", \"speedup_compiled_vs_tape\": " << predict.tape_s / predict.compiled_s << "},\n";
+  out << "  \"train_gpt3_stage\": [\n";
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    const TrainStageRow& row = train[i];
+    out << "    {\"dim\": " << row.dim << ", \"heads\": " << row.heads
+        << ", \"layers\": " << row.layers << ", \"graphs\": " << row.graphs
+        << ", \"mean_nodes\": " << row.mean_nodes << ", \"forward_s\": " << row.forward_s
+        << ", \"backward_s\": " << row.backward_s << "}" << (i + 1 < train.size() ? "," : "")
+        << "\n";
+  }
+  out << "  ],\n";
   out << "  \"batch_predict\": [\n";
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const BatchRow& row = batch[i];
@@ -529,10 +605,11 @@ int main(int argc, char** argv) {
       util::EnvString("PREDTOP_BENCH_JSON").value_or("BENCH_kernels.json");
   const std::vector<GemmRow> gemm = RunGemmSweep(smoke);
   const PredictResult predict = RunPredictComparison(smoke);
+  const std::vector<TrainStageRow> train = RunTrainStage(smoke);
   const std::vector<BatchRow> batch = RunBatchSweep(smoke);
   const std::vector<EncodeSearchRow> encode = RunEncodeSearch(smoke);
   const std::vector<PredictSearchRow> forwards = RunPredictSearch(smoke);
-  WriteJson(json_path, gemm, predict, batch, encode, forwards, smoke);
+  WriteJson(json_path, gemm, predict, train, batch, encode, forwards, smoke);
   if (smoke) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

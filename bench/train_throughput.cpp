@@ -1,8 +1,12 @@
-// Data-parallel training throughput: trains a synthetic MLP regression
-// workload (the shapes of a stage-predictor head: (16, 64) inputs through a
-// {64, 256, 256, 1} MLP pooled to a scalar) with Trainer::Fit at a sweep of
-// thread counts, and writes per-thread-count epoch time + speedup over the
-// serial loop to BENCH_train.json (path overridable via PREDTOP_BENCH_JSON).
+// Data-parallel training throughput: Trainer::Fit at a sweep of thread
+// counts on two workloads, writing per-thread-count epoch time + speedup
+// over the serial loop to BENCH_train.json (path overridable via
+// PREDTOP_BENCH_JSON):
+//  - a synthetic MLP regression (the shapes of a stage-predictor head:
+//    (16, 64) inputs through a {64, 256, 256, 1} MLP pooled to a scalar);
+//  - the DAG Transformer at the Fig. 10 shape: the first mesh's GPT-3
+//    training set of the Fig. 10 pipeline (22 stage graphs), 2 layers of
+//    dim 16 with 2 heads, batch 8, lr 5e-3, targets scaled by their mean.
 //
 // The threads=1 row is the original serial batch loop (one loss tree, one
 // backward); rows with threads>1 run the sharded path: per-sample
@@ -10,8 +14,8 @@
 // Adam step. Speedups are only meaningful on multicore hardware — on a
 // single hardware thread the sweep still validates the machinery and
 // records ~1x. PREDTOP_BENCH_SMOKE=1 shrinks the workload so CI exercises
-// the harness in seconds; PREDTOP_TRAIN_BENCH_THREADS overrides the sweep
-// (comma-separated).
+// the harness in seconds; PREDTOP_TRAIN_BENCH_THREADS overrides the MLP
+// sweep (comma-separated).
 
 #include <algorithm>
 #include <cstdint>
@@ -22,6 +26,8 @@
 #include <vector>
 
 #include "autograd/functions.h"
+#include "bench_common.h"
+#include "core/predictors.h"
 #include "nn/linear.h"
 #include "nn/trainer.h"
 #include "util/env.h"
@@ -91,21 +97,110 @@ Row RunOnce(const Workload& w, int threads, std::int64_t epochs, int reps) {
   return row;
 }
 
+/// The DAG Transformer workload: one Fig. 10 training set, mean-scaled
+/// labels, 90% train / 10% validation as the Fig. 10 split.
+struct DagWorkload {
+  core::StageDataset dataset;
+  std::vector<float> targets;
+  std::vector<std::size_t> train_idx;
+  std::vector<std::size_t> val_idx;
+  double mean_nodes = 0.0;
+};
+
+DagWorkload BuildDagWorkload() {
+  DagWorkload w;
+  w.dataset = std::move(bench::Fig10TrainingSets().front());
+  double label_sum = 0.0, nodes = 0.0;
+  for (const float label : w.dataset.labels) label_sum += static_cast<double>(label);
+  const double mean = label_sum / static_cast<double>(w.dataset.Size());
+  for (std::size_t i = 0; i < w.dataset.Size(); ++i) {
+    w.targets.push_back(static_cast<float>(static_cast<double>(w.dataset.labels[i]) / mean));
+    nodes += static_cast<double>(w.dataset.samples[i].encoded.num_nodes);
+    (i % 10 == 9 ? w.val_idx : w.train_idx).push_back(i);
+  }
+  w.mean_nodes = nodes / static_cast<double>(w.dataset.Size());
+  return w;
+}
+
+core::PredictorOptions DagOptions() {
+  core::PredictorOptions options;
+  options.feature_dim = core::StageFeatureDim();
+  options.dagt_dim = 16;
+  options.dagt_layers = 2;
+  options.dagt_heads = 2;
+  return options;
+}
+
+Row RunDagOnce(const DagWorkload& w, int threads, std::int64_t epochs, int reps) {
+  Row row;
+  row.threads = threads;
+  row.epoch_s = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    const auto model = core::MakePredictor(core::PredictorKind::kDagTransformer, DagOptions());
+    nn::TrainConfig config;
+    config.max_epochs = epochs;
+    config.patience = epochs;
+    config.batch_size = 8;
+    config.base_lr = 5e-3f;
+    config.threads = threads;
+    const nn::Trainer trainer(config);
+    const auto forward = [&](std::size_t i) {
+      return model->Forward(w.dataset.samples[i].encoded);
+    };
+    util::Stopwatch timer;
+    const nn::TrainResult result = trainer.Fit(*model, forward, w.targets, w.train_idx, w.val_idx);
+    const double elapsed = timer.ElapsedSeconds();
+    if (elapsed / static_cast<double>(epochs) < row.epoch_s) {
+      row.epoch_s = elapsed / static_cast<double>(epochs);
+      row.final_train_loss = result.train_loss_history.back();
+    }
+  }
+  return row;
+}
+
+/// Rows of one sweep; the threads=1 row is the serial baseline.
+template <typename RunFn>
+std::vector<Row> Sweep(const char* label, const std::vector<int>& threads_list, RunFn&& run) {
+  const Row serial = run(1);
+  std::vector<Row> rows;
+  for (const int threads : threads_list) {
+    Row row = threads == 1 ? serial : run(threads);
+    row.speedup_vs_serial = serial.epoch_s / row.epoch_s;
+    std::cerr << "[bench] " << label << " threads=" << row.threads << " epoch_s=" << row.epoch_s
+              << " speedup_vs_serial=" << row.speedup_vs_serial
+              << " final_train_loss=" << row.final_train_loss << "\n";
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+void WriteRows(std::ostream& out, const std::vector<Row>& rows, const char* indent) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    out << indent << "{\"threads\": " << row.threads << ", \"epoch_s\": " << row.epoch_s
+        << ", \"speedup_vs_serial\": " << row.speedup_vs_serial
+        << ", \"final_train_loss\": " << row.final_train_loss << "}"
+        << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+}
+
 void WriteJson(const std::string& path, const Workload& w, std::int64_t epochs,
-               const std::vector<Row>& rows, bool smoke) {
+               const std::vector<Row>& rows, const DagWorkload& dag, std::int64_t dag_epochs,
+               const std::vector<Row>& dag_rows, bool smoke) {
   std::ofstream out(path);
   out << "{\n  \"smoke\": " << (smoke ? "true" : "false")
       << ",\n  \"samples\": " << w.inputs.size() << ",\n  \"input_shape\": [16, 64]"
       << ",\n  \"mlp\": [64, 256, 256, 1]" << ",\n  \"epochs\": " << epochs
       << ",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    out << "    {\"threads\": " << row.threads << ", \"epoch_s\": " << row.epoch_s
-        << ", \"speedup_vs_serial\": " << row.speedup_vs_serial
-        << ", \"final_train_loss\": " << row.final_train_loss << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+  WriteRows(out, rows, "    ");
+  const core::PredictorOptions options = DagOptions();
+  out << "  ],\n  \"dag_transformer\": {\"graphs\": " << dag.dataset.Size()
+      << ", \"train\": " << dag.train_idx.size() << ", \"mean_nodes\": " << dag.mean_nodes
+      << ", \"dim\": " << options.dagt_dim << ", \"layers\": " << options.dagt_layers
+      << ", \"heads\": " << options.dagt_heads << ", \"batch\": 8, \"epochs\": " << dag_epochs
+      << ",\n    \"rows\": [\n";
+  WriteRows(out, dag_rows, "      ");
+  out << "    ]\n  }\n}\n";
   std::cerr << "[bench] wrote " << path << "\n";
 }
 
@@ -122,18 +217,13 @@ int main() {
       "PREDTOP_TRAIN_BENCH_THREADS", smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8});
 
   const Workload w = BuildWorkload(samples);
-
-  // Serial baseline first; every row's speedup is measured against it.
-  const Row serial = RunOnce(w, 1, epochs, reps);
-  std::vector<Row> rows;
-  for (const int threads : sweep) {
-    Row row = threads == 1 ? serial : RunOnce(w, threads, epochs, reps);
-    row.speedup_vs_serial = serial.epoch_s / row.epoch_s;
-    std::cerr << "[bench] threads=" << row.threads << " epoch_s=" << row.epoch_s
-              << " speedup_vs_serial=" << row.speedup_vs_serial
-              << " final_train_loss=" << row.final_train_loss << "\n";
-    rows.push_back(row);
-  }
-  WriteJson(json_path, w, epochs, rows, smoke);
+  const std::vector<Row> rows =
+      Sweep("mlp", sweep, [&](int threads) { return RunOnce(w, threads, epochs, reps); });
+  const DagWorkload dag = BuildDagWorkload();
+  const std::int64_t dag_epochs = smoke ? 2 : 20;
+  const std::vector<Row> dag_rows = Sweep("dag_transformer", {1, 2, 4}, [&](int threads) {
+    return RunDagOnce(dag, threads, dag_epochs, reps);
+  });
+  WriteJson(json_path, w, epochs, rows, dag, dag_epochs, dag_rows, smoke);
   return 0;
 }

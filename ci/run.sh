@@ -21,10 +21,12 @@
 #                        a cold plan search) and the predict_search row (its
 #                        cold forwards, serial vs on 2- and 4-worker pools)
 #                        to build-native/BENCH_kernels.json
-#   ci/run.sh train      training lane: the parallel-backward / trainer /
-#                        online-refresh suites plus a smoke train_throughput
-#                        run recording epoch time vs thread count (and
-#                        speedup over the serial loop) to build/BENCH_train.json
+#   ci/run.sh train      training lane: the parallel-backward / fused
+#                        attention node / trainer / online-refresh suites plus
+#                        a smoke train_throughput run recording epoch time vs
+#                        thread count (and speedup over the serial loop) for
+#                        the MLP and the Fig. 10 DAG Transformer workloads to
+#                        build/BENCH_train.json
 #   ci/run.sh cluster    additional ASan/UBSan build of the cluster suite:
 #                        wire-codec fuzz, router + shard workers over Unix
 #                        sockets, fork/exec worker processes, and the SIGKILL
@@ -145,8 +147,11 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/util_test
   ./build-tsan/tests/parallel_test
   # Parallel backward engine (staged deterministic accumulation, concurrent
-  # BackwardInto on shared parameters) and the data-parallel trainer.
-  run_filtered ./build-tsan/tests/autograd_test 'Engine.*'
+  # BackwardInto on shared parameters), the fused attention node (its
+  # per-thread scratch) and the data-parallel trainer, including a DAG
+  # Transformer fitted on generated graphs through that node.
+  run_filtered ./build-tsan/tests/autograd_test \
+    'Engine.*:MaskedAttention.*:Autograd.MaskedAttentionGradients'
   run_filtered ./build-tsan/tests/nn_test 'ParallelTrainer.*'
   # Background fine-tune thread hot-swapping checkpoints under live serving.
   ./build-tsan/tests/online_test
@@ -194,7 +199,8 @@ fi
 if [[ "${1:-}" == "train" ]]; then
   cmake --build --preset default -j "$(nproc)" \
     --target autograd_test nn_test online_test train_throughput
-  run_filtered ./build/tests/autograd_test 'Engine.*'
+  run_filtered ./build/tests/autograd_test \
+    'Engine.*:MaskedAttention.*:Autograd.MaskedAttentionGradients'
   run_filtered ./build/tests/nn_test 'ParallelTrainer.*:Adam.*:CosineDecay.*:SplitDataset.*'
   ./build/tests/online_test
   # Thread sweep over the data-parallel Fit path; the serial row is the

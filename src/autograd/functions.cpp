@@ -170,6 +170,50 @@ Variable MaskedRowSoftmax(const Variable& logits, const Tensor& additive_mask) {
 
 Variable RowSoftmax(const Variable& logits) { return SoftmaxImpl(logits, nullptr); }
 
+Variable MaskedAttention(const Variable& q, const Variable& k, const Variable& v,
+                         std::shared_ptr<const tensor::AttentionMask> mask,
+                         std::int64_t heads) {
+  const Tensor& qv = q.value();
+  if (qv.rank() != 2 || !qv.SameShape(k.value()) || !qv.SameShape(v.value())) {
+    throw std::invalid_argument("MaskedAttention: q, k and v must be equal-shape 2-D");
+  }
+  if (heads <= 0 || qv.dim(1) % heads != 0) {
+    throw std::invalid_argument("MaskedAttention: width must be divisible by heads");
+  }
+  if (!mask) throw std::invalid_argument("MaskedAttention: null mask");
+  const tensor::AttentionShape shape{qv.dim(0), heads, qv.dim(1) / heads};
+  const float scale = 1.0f / std::sqrt(static_cast<float>(shape.head_dim));
+  Tensor out(qv.shape());
+  // Per (head, row): softmax shift in [0, heads * n), 1/sum in the rest.
+  std::vector<float> stats(static_cast<std::size_t>(2 * heads * shape.n));
+  tensor::MaskedAttentionForward(qv.data().data(), k.value().data().data(),
+                                 v.value().data().data(), shape, *mask, scale,
+                                 out.data().data(), stats.data(),
+                                 stats.data() + heads * shape.n);
+  return MakeOp(std::move(out), {q, k, v},
+                [mask = std::move(mask), shape, scale, stats = std::move(stats)](Node& n) {
+    const Tensor& qv = n.parents[0]->value;
+    Tensor dq(qv.shape()), dk(qv.shape()), dv(qv.shape());
+    tensor::MaskedAttentionBackward(
+        qv.data().data(), n.parents[1]->value.data().data(),
+        n.parents[2]->value.data().data(), n.value.data().data(), n.grad.data().data(), shape,
+        *mask, scale, stats.data(), stats.data() + shape.heads * shape.n, dq.data().data(),
+        dk.data().data(), dv.data().data());
+    if (Needs(n, 0)) n.parents[0]->AccumulateGrad(dq);
+    if (Needs(n, 1)) n.parents[1]->AccumulateGrad(dk);
+    if (Needs(n, 2)) n.parents[2]->AccumulateGrad(dv);
+  });
+}
+
+Variable MaskedAttention(const Variable& q, const Variable& k, const Variable& v,
+                         const Tensor& additive_mask, std::int64_t heads) {
+  return MaskedAttention(
+      q, k, v,
+      std::make_shared<const tensor::AttentionMask>(
+          tensor::AttentionMask::FromAdditive(additive_mask)),
+      heads);
+}
+
 Variable LayerNorm(const Variable& x, const Variable& gain, const Variable& bias, float eps) {
   const Tensor& xv = x.value();
   if (xv.rank() != 2) throw std::invalid_argument("LayerNorm: x must be 2-D");

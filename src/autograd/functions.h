@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "autograd/variable.h"
+#include "tensor/attention.h"
 #include "tensor/sparse.h"
 
 namespace predtop::autograd {
@@ -38,6 +39,20 @@ Variable Tanh(const Variable& a);
 /// the mask is data, not a differentiable input.
 Variable MaskedRowSoftmax(const Variable& logits, const tensor::Tensor& additive_mask);
 Variable RowSoftmax(const Variable& logits);
+/// Multi-head masked attention as one node: q, k, v are (n, heads * head_dim)
+/// and head h attends with its column block, softmax(q_h k_h^T / sqrt(head_dim)
+/// restricted to the mask's open lanes) v_h, into the same block of the (n,
+/// heads * head_dim) output. The node saves only each (head, row)'s softmax
+/// shift and 1/sum and recomputes P row by row in its backward (see
+/// tensor/attention.h); no (n, n) tensor is formed in either direction. The
+/// mask is shared, not copied, and outlives the node through this reference.
+Variable MaskedAttention(const Variable& q, const Variable& k, const Variable& v,
+                         std::shared_ptr<const tensor::AttentionMask> mask,
+                         std::int64_t heads);
+/// MaskedAttention with an additive (n, n) mask of 0 / -inf entries, packed
+/// before the call returns (std::invalid_argument for any other entry).
+Variable MaskedAttention(const Variable& q, const Variable& k, const Variable& v,
+                         const tensor::Tensor& additive_mask, std::int64_t heads);
 /// Row-wise layer normalization with affine parameters gain/bias of shape
 /// (cols).
 Variable LayerNorm(const Variable& x, const Variable& gain, const Variable& bias,

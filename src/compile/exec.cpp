@@ -241,8 +241,8 @@ void RunFusedAttention(const InferProgram& p, const Step& s,
   tensor::MatMulPackedViewStridedInto(x, n, d, tensor::ViewOf(as.qkv), qkv, d3);
   tensor::fused::BiasActRows(qkv, n, d3, d3, as.bias.data(), tensor::fused::Act::kNone);
   // Fold 1/sqrt(dk) into the q columns (post-bias, exactly like the
-  // recorded Scale step on the q projection; the tape scales the logits
-  // instead, one rounding apart, ~1e-7 relative).
+  // recorded Scale step on the q projection and the tape's attention node,
+  // which scales each query row before its logits).
   for (std::int64_t i = 0; i < n; ++i) {
     float* row = qkv + i * d3;
     for (std::int64_t j = 0; j < d; ++j) row[j] *= s.scalar;
@@ -296,16 +296,16 @@ void RunFusedAttention(const InferProgram& p, const Step& s,
   }
 }
 
-/// Unfused attention heads at the shape classes the fuser declines, the
-/// counterpart of the tape's MultiheadMaskedAttention::Forward (per head:
-/// SliceCols, MatMul against the transposed keys, MaskedRowSoftmax, MatMul
-/// with the values, then ConcatCols). When both per-head GEMMs take the
-/// packed tier the strided-deferred branch reads each head's columns in
-/// place and defers softmax normalization to the (n, head_dim) output;
-/// otherwise the slice-based branch runs the tape's packed/narrow/naive tier
-/// dispatch per GEMM. Both fold 1/sqrt(dk) into q (the recorded Scale
-/// step). Head outputs land directly in their column block of `y`, which is
-/// bitwise the ConcatCols result.
+/// Unfused attention heads at the shape classes the fuser declines. The
+/// tape's counterpart is the fused autograd::MaskedAttention node
+/// (tensor/attention.h). When both per-head GEMMs take the packed tier the
+/// strided-deferred branch reads each head's columns in place and defers
+/// softmax normalization to the (n, head_dim) output; otherwise the
+/// slice-based branch materializes each head's slices, runs
+/// tensor::MatMul's packed/narrow/naive tier order per GEMM and normalizes
+/// the softmax in place, the node's exact per-row sequence, so the two are
+/// bit-identical there. Both fold 1/sqrt(dk) into q (the recorded Scale
+/// step). Head outputs land directly in their column block of `y`.
 void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
                   const float* q, const float* k, const float* v, float* y,
                   float* scratch) {
@@ -373,7 +373,7 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
     if (tensor::UsePackedGemm(n, hd, n)) {
       tensor::PackBTransposedIntoBuf(kh, hd, n, packbuf, hd);
       tensor::MatMulPackedViewStridedInto(qh, n, hd, {packbuf, hd, n}, logits, n);
-    } else if (n < 16 && hd >= 16) {
+    } else if (tensor::UseNarrowGemm(hd, n)) {
       // Narrow tier: B is kh^T, whose transpose is kh itself — Dot over hd.
       for (std::int64_t i = 0; i < n; ++i) {
         for (std::int64_t j = 0; j < n; ++j) {
@@ -387,16 +387,7 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
         for (std::int64_t i = 0; i < n; ++i) tmp[kk * n + i] = kh[i * hd + kk];
       }
       std::fill(logits, logits + n * n, 0.0f);
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* arow = qh + i * hd;
-        float* crow = logits + i * n;
-        for (std::int64_t kk = 0; kk < hd; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = tmp + kk * n;
-          for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
+      tensor::GemmNaiveAccumulate(qh, hd, tmp, n, logits, n, n, hd, n);
     }
     // attn = masked row softmax, normalized in place (tensor::RowSoftmax's
     // pass structure; lane-wise, so in-place is safe).
@@ -416,7 +407,7 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
     if (tensor::UsePackedGemm(n, n, hd)) {
       tensor::PackBIntoBuf(vh, n, hd, packbuf, hd);
       tensor::MatMulPackedViewStridedInto(logits, n, n, {packbuf, n, hd}, y + off, d);
-    } else if (hd < 16 && n >= 16) {
+    } else if (tensor::UseNarrowGemm(n, hd)) {
       // Narrow tier: Dot over the long k dimension against vh^T.
       for (std::int64_t kk = 0; kk < n; ++kk) {
         for (std::int64_t j = 0; j < hd; ++j) tmp[j * n + kk] = vh[kk * hd + j];
@@ -431,16 +422,7 @@ void RunAttnHeads(const InferProgram& p, const Step& s, const ExecInputs& in,
       for (std::int64_t i = 0; i < n; ++i) {
         std::fill(y + i * d + off, y + i * d + off + hd, 0.0f);
       }
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* arow = logits + i * n;
-        float* crow = y + i * d + off;
-        for (std::int64_t kk = 0; kk < n; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = vh + kk * hd;
-          for (std::int64_t j = 0; j < hd; ++j) crow[j] += av * brow[j];
-        }
-      }
+      tensor::GemmNaiveAccumulate(logits, n, vh, hd, y + off, d, n, n, hd);
     }
   }
 }

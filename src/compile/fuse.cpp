@@ -39,10 +39,10 @@ void FuseAttention(std::vector<Step>& steps, std::int64_t num_nodes) {
     // each projection's columns land on whole panels.
     if (s.attn->Dim() % tensor::kGemmPanel != 0) continue;
     // The fused kernel runs every GEMM packed; fuse only the shape classes
-    // where the tape's MatMul would pick the packed tier for the q/k/v
+    // where tensor::MatMul would pick the packed tier for the q/k/v
     // projections AND both per-head multiplies (the same gates the unfused
     // kAttnHeads executor takes its strided branch on). Below these floors
-    // the unfused executor's slice-based branch runs the tape's GEMM tiers
+    // the unfused executor's slice-based branch runs tensor::MatMul's tiers
     // instead.
     const std::int64_t n = num_nodes;
     const std::int64_t d = s.attn->Dim();

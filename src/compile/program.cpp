@@ -19,7 +19,7 @@ namespace {
 /// see.
 [[nodiscard]] GemmTier ResolveLinearTier(std::int64_t m, std::int64_t k, std::int64_t n) {
   if (tensor::UsePackedGemm(m, k, n)) return GemmTier::kPacked;
-  if (n < 16 && k >= 16) return GemmTier::kNarrow;
+  if (tensor::UseNarrowGemm(k, n)) return GemmTier::kNarrow;
   return GemmTier::kNaive;
 }
 

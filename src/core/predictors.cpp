@@ -11,7 +11,6 @@
 #include "autograd/functions.h"
 #include "fault/status.h"
 #include "graph/depth.h"
-#include "graph/reachability.h"
 #include "nn/serialize.h"
 
 namespace predtop::core {
@@ -109,13 +108,12 @@ class DagTransformerPredictor final : public StagePredictor {
       const tensor::Tensor pe = graph::SinusoidalEncoding(g.depths, options_.dagt_dim);
       h = autograd::Add(h, Variable(pe));
     }
-    const tensor::Tensor* mask = &g.dagra_mask;
-    tensor::Tensor full_mask;
-    if (!options_.use_dagra) {  // ablation: unrestricted attention
-      full_mask = graph::BuildFullAttentionMask(g.num_nodes);
-      mask = &full_mask;
-    }
-    for (const auto& layer : layers_) h = layer->Forward(h, *mask);
+    // Packed once per forward and shared by every head of every layer; the
+    // ablation without DAGRA opens every lane.
+    const auto mask = std::make_shared<const tensor::AttentionMask>(
+        options_.use_dagra ? tensor::AttentionMask::FromAdditive(g.dagra_mask)
+                           : tensor::AttentionMask::AllOpen(g.num_nodes));
+    for (const auto& layer : layers_) h = layer->Forward(h, mask);
     // Raw-feature sums grow with node count and log-dim magnitude; scale
     // them to O(1) so they do not swamp Adam's updates.
     const std::vector<Variable> pooled{

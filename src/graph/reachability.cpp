@@ -58,8 +58,4 @@ tensor::Tensor BuildDagraMask(const OpDag& dag) {
   return mask;
 }
 
-tensor::Tensor BuildFullAttentionMask(std::int64_t num_nodes) {
-  return tensor::Tensor({num_nodes, num_nodes});
-}
-
 }  // namespace predtop::graph

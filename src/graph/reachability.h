@@ -47,7 +47,4 @@ class ReachabilityClosure {
 /// (paper Eqn. 1 with the neighborhood range k = infinity).
 [[nodiscard]] tensor::Tensor BuildDagraMask(const OpDag& dag);
 
-/// Ablation helper: an all-zero mask of matching shape (full attention).
-[[nodiscard]] tensor::Tensor BuildFullAttentionMask(std::int64_t num_nodes);
-
 }  // namespace predtop::graph

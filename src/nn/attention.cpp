@@ -1,9 +1,8 @@
 #include "nn/attention.h"
 
-#include <cmath>
 #include <stdexcept>
 
-#include "tensor/ops.h"
+#include "autograd/functions.h"
 
 namespace predtop::nn {
 
@@ -23,30 +22,10 @@ MultiheadMaskedAttention::MultiheadMaskedAttention(std::int64_t dim, std::int64_
   }
 }
 
-Variable MultiheadMaskedAttention::Forward(const Variable& x,
-                                           const tensor::Tensor& additive_mask) const {
-  const std::int64_t n = x.value().dim(0);
-  if (additive_mask.rank() != 2 || additive_mask.dim(0) != n || additive_mask.dim(1) != n) {
-    throw std::invalid_argument("MultiheadMaskedAttention: mask must be (n, n)");
-  }
-  const Variable q = wq_.Forward(x);
-  const Variable k = wk_.Forward(x);
-  const Variable v = wv_.Forward(x);
-  const float inv_sqrt_dk = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-
-  std::vector<Variable> head_outputs;
-  head_outputs.reserve(static_cast<std::size_t>(heads_));
-  for (std::int64_t h = 0; h < heads_; ++h) {
-    const std::int64_t off = h * head_dim_;
-    const Variable qh = autograd::SliceCols(q, off, head_dim_);
-    const Variable kh = autograd::SliceCols(k, off, head_dim_);
-    const Variable vh = autograd::SliceCols(v, off, head_dim_);
-    const Variable logits =
-        autograd::Scale(autograd::MatMul(qh, autograd::Transpose(kh)), inv_sqrt_dk);
-    const Variable attn = autograd::MaskedRowSoftmax(logits, additive_mask);
-    head_outputs.push_back(autograd::MatMul(attn, vh));
-  }
-  const Variable merged = autograd::ConcatCols(head_outputs);
+Variable MultiheadMaskedAttention::Forward(
+    const Variable& x, std::shared_ptr<const tensor::AttentionMask> mask) const {
+  const Variable merged = autograd::MaskedAttention(wq_.Forward(x), wk_.Forward(x),
+                                                    wv_.Forward(x), std::move(mask), heads_);
   return wo_.Forward(merged);
 }
 

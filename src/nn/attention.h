@@ -4,8 +4,10 @@
 // reachability structure (0 where attention is allowed, -inf elsewhere).
 
 #include <cstdint>
+#include <memory>
 
 #include "nn/linear.h"
+#include "tensor/attention.h"
 
 namespace predtop::nn {
 
@@ -14,10 +16,12 @@ class MultiheadMaskedAttention : public Module {
   /// `dim` must be divisible by `heads`.
   MultiheadMaskedAttention(std::int64_t dim, std::int64_t heads, util::Rng& rng);
 
-  /// x: (n, dim); additive_mask: (n, n) with 0 / -inf entries, shared across
-  /// heads. Returns (n, dim).
-  [[nodiscard]] autograd::Variable Forward(const autograd::Variable& x,
-                                           const tensor::Tensor& additive_mask) const;
+  /// x: (n, dim); mask: the (n, n) open lanes (tensor::AttentionMask packs
+  /// an additive 0 / -inf mask), shared across heads and, in the DAG
+  /// Transformer, across layers. The projections wrap one
+  /// autograd::MaskedAttention node. Returns (n, dim).
+  [[nodiscard]] autograd::Variable Forward(
+      const autograd::Variable& x, std::shared_ptr<const tensor::AttentionMask> mask) const;
 
   [[nodiscard]] std::vector<autograd::Variable*> Parameters() override;
   [[nodiscard]] std::vector<NamedParameter> NamedParameters() override;

@@ -14,8 +14,9 @@ DagTransformerLayer::DagTransformerLayer(std::int64_t dim, std::int64_t heads,
       norm2_gain_(tensor::Tensor::Full({dim}, 1.0f), true),
       norm2_bias_(tensor::Tensor({dim}), true) {}
 
-Variable DagTransformerLayer::Forward(const Variable& x,
-                                      const tensor::Tensor& reachability_mask) const {
+Variable DagTransformerLayer::Forward(
+    const Variable& x,
+    const std::shared_ptr<const tensor::AttentionMask>& reachability_mask) const {
   const Variable attn = attention_.Forward(x, reachability_mask);
   const Variable h1 =
       autograd::LayerNorm(autograd::Add(x, attn), norm1_gain_, norm1_bias_);

@@ -5,6 +5,7 @@
 // the input embedding by the caller before the first layer.
 
 #include <cstdint>
+#include <memory>
 
 #include "nn/attention.h"
 
@@ -16,9 +17,11 @@ class DagTransformerLayer : public Module {
   DagTransformerLayer(std::int64_t dim, std::int64_t heads, std::int64_t ffn_mult,
                       util::Rng& rng);
 
-  /// x: (n, dim); reachability mask: (n, n) additive. Returns (n, dim).
-  [[nodiscard]] autograd::Variable Forward(const autograd::Variable& x,
-                                           const tensor::Tensor& reachability_mask) const;
+  /// x: (n, dim); reachability mask: the (n, n) open lanes, packed once per
+  /// model forward and shared by every layer. Returns (n, dim).
+  [[nodiscard]] autograd::Variable Forward(
+      const autograd::Variable& x,
+      const std::shared_ptr<const tensor::AttentionMask>& reachability_mask) const;
 
   [[nodiscard]] std::vector<autograd::Variable*> Parameters() override;
   [[nodiscard]] std::vector<NamedParameter> NamedParameters() override;

@@ -40,9 +40,9 @@ void LayerNormRow(const float* xrow, const float* gain, const float* bias, float
 /// holds `num_chunks` [lo, hi) pairs in ascending order; every lane outside
 /// the runs is -inf masked and written as exact 0, and lanes inside need no
 /// mask check at all. The exp shift is the max over the open lanes — the
-/// same shift the tape's MaskedRowSoftmax sees after adding the mask — so a
-/// masked logit can never dominate the shift and no underflow retry is
-/// needed. Writes the deferred 1/sum factor to *inv (0 for a row with no
+/// same shift the tape's fused attention node (tensor/attention.h) takes
+/// over its masked logits — so a masked logit can never dominate the shift
+/// and no underflow retry is needed. Writes the deferred 1/sum factor to *inv (0 for a row with no
 /// open lane). `orow` may equal `lrow`.
 void DeferredSoftmaxRowChunks(const float* lrow, float* orow, std::int64_t cols,
                               const std::int32_t* chunks, std::int64_t num_chunks,

@@ -35,7 +35,7 @@ Tensor MatMulNaive(const Tensor& a, const Tensor& b) {
   const float* __restrict pa = a.data().data();
   const float* __restrict pb = b.data().data();
   float* __restrict pc = c.data().data();
-  if (n < 16 && k >= 16) {
+  if (UseNarrowGemm(k, n)) {
     // Narrow outputs (per-head attention context, dW slices): the i-k-j
     // kernel's inner loop is too short to vectorize, so transpose B once and
     // use explicit-SIMD dot products over the long k dimension instead.
@@ -59,6 +59,21 @@ Tensor MatMulNaive(const Tensor& a, const Tensor& b) {
     }
   }
   return c;
+}
+
+void GemmNaiveAccumulate(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
+                         float* c, std::int64_t ldc, std::int64_t m, std::int64_t k,
+                         std::int64_t n) noexcept {
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = a + i * lda;
+    float* __restrict crow = c + i * ldc;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = arow[kk];
+      if (av == 0.0f) continue;
+      const float* __restrict brow = b + kk * ldb;
+      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
 }
 
 namespace {

@@ -119,9 +119,23 @@ void PackedViewTile(const float* a, std::int64_t lda, PackedBView b, float* c,
 /// Reference i-k-j kernel (the historical MatMul); kept callable for
 /// benchmarking and as the small-shape dispatch target.
 [[nodiscard]] Tensor MatMulNaive(const Tensor& a, const Tensor& b);
+/// c(m, n) += a(m, k) * b(k, n) over strided rows with the i-k-j loop of
+/// MatMulNaive (ascending k per output, zero entries of a skipped). Results
+/// depend only on the row being computed, never on m. The attention node
+/// (tensor/attention.h) and the compiled executor's unfused attention both
+/// call this one definition, so their per-head products agree bit for bit.
+void GemmNaiveAccumulate(const float* a, std::int64_t lda, const float* b, std::int64_t ldb,
+                         float* c, std::int64_t ldc, std::int64_t m, std::int64_t k,
+                         std::int64_t n) noexcept;
 
 /// True when MatMul dispatches shape (m, k, n) to the packed kernel.
 [[nodiscard]] bool UsePackedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept;
+/// True when a non-packed MatMul of inner dimension k and output width n
+/// takes the narrow tier: one simd::Dot per output over k (lane-split
+/// order) instead of the i-k-j kernel's ascending-k accumulation.
+[[nodiscard]] constexpr bool UseNarrowGemm(std::int64_t k, std::int64_t n) noexcept {
+  return n < 16 && k >= 16;
+}
 /// True when the packed kernel additionally spreads row panels across the
 /// shared GEMM ThreadPool (m*k*n >= PREDTOP_GEMM_PAR_MIN_ELEMS, default 4Mi).
 /// Threading never changes result bits, only where the crossover sits.

@@ -7,11 +7,15 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <memory>
 #include <thread>
 
 #include "autograd/engine.h"
 #include "autograd/functions.h"
 #include "autograd/variable.h"
+#include "graph/reachability.h"
+#include "random_dag.h"
 #include "tensor/sparse.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -121,6 +125,174 @@ TEST(Autograd, MaskedSoftmaxGradients) {
   CheckGradientsV(
       [&](std::vector<Variable>& v) { return ToScalar(MaskedRowSoftmax(v[0], mask), w); },
       {RandT({3, 3}, 9)});
+}
+
+// ---- fused masked attention ----
+
+/// The per-head chain the fused node replaced, kept as its reference:
+/// SliceCols, MatMul against the transposed keys, Scale, MaskedRowSoftmax,
+/// MatMul with the values, ConcatCols.
+Variable ComposedAttention(const Variable& q, const Variable& k, const Variable& v,
+                           const Tensor& mask, std::int64_t heads) {
+  const std::int64_t hd = q.value().dim(1) / heads;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  std::vector<Variable> outs;
+  for (std::int64_t h = 0; h < heads; ++h) {
+    const Variable qh = SliceCols(q, h * hd, hd);
+    const Variable kh = SliceCols(k, h * hd, hd);
+    const Variable vh = SliceCols(v, h * hd, hd);
+    const Variable logits = Scale(MatMul(qh, Transpose(kh)), scale);
+    outs.push_back(MatMul(MaskedRowSoftmax(logits, mask), vh));
+  }
+  return ConcatCols(outs);
+}
+
+/// (4, 4) mask: row 0 has no open lane, row 1 exactly one (itself), rows
+/// 2 and 3 a mix.
+Tensor EdgeCaseMask() {
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor mask({4, 4}, -inf);
+  mask.at(1, 1) = 0.0f;
+  for (const std::int64_t j : {0, 2, 3}) mask.at(2, j) = 0.0f;
+  for (const std::int64_t j : {1, 3}) mask.at(3, j) = 0.0f;
+  return mask;
+}
+
+TEST(Autograd, MaskedAttentionGradients) {
+  for (const std::int64_t heads : {1, 2}) {
+    for (const std::int64_t hd : {1, 3, 8}) {
+      const std::int64_t d = heads * hd;
+      for (const Tensor& mask : {EdgeCaseMask(), Tensor({1, 1})}) {
+        SCOPED_TRACE(::testing::Message() << "heads=" << heads << " head_dim=" << hd
+                                          << " n=" << mask.dim(0));
+        const std::int64_t n = mask.dim(0);
+        const Tensor w = RandT({n, d}, 200 + static_cast<std::uint64_t>(d));
+        CheckGradientsV(
+            [&](std::vector<Variable>& v) {
+              return ToScalar(MaskedAttention(v[0], v[1], v[2], mask, heads), w);
+            },
+            {RandT({n, d}, 201), RandT({n, d}, 202), RandT({n, d}, 203)});
+      }
+    }
+  }
+}
+
+/// DAGRA masks of the shared generated DAGs: a single node, disconnected
+/// components, a chain, a wide fan, three random densities and a 144-node
+/// graph.
+std::vector<Tensor> GeneratedDagraMasks() {
+  util::Rng rng(0xa77e);
+  std::vector<Tensor> out;
+  out.push_back(graph::BuildDagraMask(graph::RandomDag(1, 0.0, rng)));
+  {
+    graph::OpDag dag;
+    for (const graph::OpDag& part : {graph::RandomDag(7, 0.4, rng), graph::RandomDag(5, 0.6, rng),
+                                     graph::RandomDag(1, 0.0, rng)}) {
+      const std::int32_t offset = dag.NumNodes();
+      for (std::int32_t i = 0; i < part.NumNodes(); ++i) dag.AddNode(part.Node(i));
+      for (const auto& [u, v] : part.Edges()) dag.AddEdge(offset + u, offset + v);
+    }
+    out.push_back(graph::BuildDagraMask(dag));
+  }
+  {
+    graph::OpDag chain;
+    for (std::int32_t i = 0; i < 48; ++i) chain.AddNode({});
+    for (std::int32_t i = 0; i + 1 < 48; ++i) chain.AddEdge(i, i + 1);
+    out.push_back(graph::BuildDagraMask(chain));
+  }
+  {
+    graph::OpDag fan;
+    for (std::int32_t i = 0; i < 32; ++i) fan.AddNode({});
+    for (std::int32_t i = 1; i <= 30; ++i) {
+      fan.AddEdge(0, i);
+      fan.AddEdge(i, 31);
+    }
+    out.push_back(graph::BuildDagraMask(fan));
+  }
+  out.push_back(graph::BuildDagraMask(graph::RandomDag(12, 0.5, rng)));
+  out.push_back(graph::BuildDagraMask(graph::RandomDag(24, 0.15, rng)));
+  out.push_back(graph::BuildDagraMask(graph::RandomDag(40, 0.05, rng)));
+  out.push_back(graph::BuildDagraMask(graph::RandomDag(144, 0.04, rng)));
+  return out;
+}
+
+/// max |got - want| <= 1e-5 * max(1, max |want|).
+void ExpectCloseRelative(const Tensor& got, const Tensor& want, const char* label) {
+  ASSERT_TRUE(got.SameShape(want)) << label;
+  float scale = 1.0f;
+  for (const float x : want.data()) scale = std::max(scale, std::fabs(x));
+  EXPECT_LE(tensor::MaxAbsDiff(got, want), 1e-5f * scale) << label;
+}
+
+TEST(MaskedAttention, MatchesComposedChain) {
+  std::vector<Tensor> masks = GeneratedDagraMasks();
+  masks.emplace_back(tensor::Shape{0, 0});  // n = 0
+  constexpr std::int64_t kHeads = 2;
+  for (const std::int64_t hd : {8, 16}) {
+    for (const Tensor& mask : masks) {
+      const std::int64_t n = mask.dim(0), d = kHeads * hd;
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " head_dim=" << hd);
+      const Tensor w = RandT({n, d}, 300);
+      const std::vector<Tensor> inputs{RandT({n, d}, 301), RandT({n, d}, 302),
+                                       RandT({n, d}, 303)};
+      const auto run = [&](bool fused) {
+        std::vector<Variable> leaves;
+        for (const Tensor& t : inputs) leaves.emplace_back(t, true);
+        const Variable out = fused ? MaskedAttention(leaves[0], leaves[1], leaves[2], mask, kHeads)
+                                   : ComposedAttention(leaves[0], leaves[1], leaves[2], mask,
+                                                       kHeads);
+        Backward(ToScalar(out, w));
+        std::vector<Tensor> result{out.value()};
+        for (const Variable& leaf : leaves) result.push_back(leaf.grad());
+        return result;
+      };
+      const std::vector<Tensor> fused = run(true);
+      const std::vector<Tensor> chain = run(false);
+      const char* labels[] = {"out", "dq", "dk", "dv"};
+      for (std::size_t i = 0; i < fused.size(); ++i) {
+        if (n == 0) {
+          EXPECT_EQ(fused[i].numel(), 0) << labels[i];
+          continue;
+        }
+        ExpectCloseRelative(fused[i], chain[i], labels[i]);
+      }
+    }
+  }
+}
+
+TEST(MaskedAttention, BackwardOutlivesTheMaskTensor) {
+  const Tensor q = RandT({40, 16}, 400), k = RandT({40, 16}, 401), v = RandT({40, 16}, 402);
+  const Tensor w = RandT({40, 16}, 403);
+  const auto run = [&](bool destroy_mask) {
+    std::vector<Variable> leaves{Variable(q, true), Variable(k, true), Variable(v, true)};
+    util::Rng rng(404);
+    auto mask = std::make_unique<Tensor>(graph::BuildDagraMask(graph::RandomDag(40, 0.1, rng)));
+    const Variable loss = ToScalar(MaskedAttention(leaves[0], leaves[1], leaves[2], *mask, 2), w);
+    if (destroy_mask) mask.reset();
+    Backward(loss);
+    return std::vector<Tensor>{leaves[0].grad(), leaves[1].grad(), leaves[2].grad()};
+  };
+  const std::vector<Tensor> kept = run(false);
+  const std::vector<Tensor> destroyed = run(true);
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    ASSERT_TRUE(kept[i].SameShape(destroyed[i]));
+    EXPECT_EQ(std::memcmp(kept[i].data().data(), destroyed[i].data().data(),
+                          static_cast<std::size_t>(kept[i].numel()) * sizeof(float)),
+              0);
+  }
+}
+
+TEST(MaskedAttention, MaskEntriesOtherThanZeroOrNegInfThrow) {
+  const Variable x(RandT({3, 4}, 500));
+  for (const float bad : {1.0f, -1e30f, std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    Tensor mask({3, 3});
+    mask.at(1, 2) = bad;
+    EXPECT_THROW((void)MaskedAttention(x, x, x, mask, 2), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW((void)MaskedAttention(x, x, x, Tensor({3, 4}), 2), std::invalid_argument);
+  EXPECT_THROW((void)MaskedAttention(x, x, x, Tensor({4, 4}), 2), std::invalid_argument);
+  EXPECT_THROW((void)MaskedAttention(x, x, x, Tensor({3, 3}), 3), std::invalid_argument);
 }
 
 TEST(Autograd, LayerNormGradients) {

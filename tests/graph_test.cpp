@@ -215,11 +215,6 @@ TEST(DagraMask, WordwiseMaskIsBitEqualToPairwiseDefinition) {
   }
 }
 
-TEST(FullAttentionMask, IsAllZero) {
-  const tensor::Tensor mask = BuildFullAttentionMask(5);
-  for (const float v : mask.data()) EXPECT_EQ(v, 0.0f);
-}
-
 TEST(NodeDepths, LongestPathSemantics) {
   // 0 -> 1 -> 3 and 0 -> 3: depth(3) must be 2 (longest path).
   OpDag dag;

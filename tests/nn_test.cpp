@@ -10,7 +10,9 @@
 #include <set>
 
 #include "autograd/functions.h"
+#include "core/predictors.h"
 #include "fault/injector.h"
+#include "graph/encode.h"
 #include "nn/attention.h"
 #include "nn/dag_transformer.h"
 #include "nn/gat.h"
@@ -18,6 +20,7 @@
 #include "nn/linear.h"
 #include "nn/optimizer.h"
 #include "nn/trainer.h"
+#include "random_dag.h"
 #include "tensor/sparse.h"
 
 namespace predtop::nn {
@@ -56,6 +59,11 @@ void CheckModuleGradients(Module& module, const std::function<Variable()>& loss_
           << "param " << p << " elem " << i;
     }
   }
+}
+
+std::shared_ptr<const tensor::AttentionMask> Packed(const Tensor& additive_mask) {
+  return std::make_shared<const tensor::AttentionMask>(
+      tensor::AttentionMask::FromAdditive(additive_mask));
 }
 
 Variable ScalarLoss(const Variable& out) {
@@ -103,8 +111,7 @@ TEST(Mlp, BuildsChainAndCounts) {
 TEST(Attention, OutputShapeMatchesInput) {
   Rng rng(6);
   const MultiheadMaskedAttention attn(16, 4, rng);
-  const Tensor mask({6, 6});
-  const Variable y = attn.Forward(Variable(Tensor::Randn({6, 16}, rng)), mask);
+  const Variable y = attn.Forward(Variable(Tensor::Randn({6, 16}, rng)), Packed(Tensor({6, 6})));
   EXPECT_EQ(y.value().dim(0), 6);
   EXPECT_EQ(y.value().dim(1), 16);
 }
@@ -128,9 +135,9 @@ TEST(Attention, MaskedNodesDoNotInfluenceOutput) {
   mask.at(1, 2) = -inf;
   mask.at(2, 1) = -inf;
   Tensor x = Tensor::Randn({3, 8}, rng);
-  const Variable y1 = attn.Forward(Variable(x), mask);
+  const Variable y1 = attn.Forward(Variable(x), Packed(mask));
   for (std::int64_t j = 0; j < 8; ++j) x.at(2, j) += 5.0f;  // perturb node 2
-  const Variable y2 = attn.Forward(Variable(x), mask);
+  const Variable y2 = attn.Forward(Variable(x), Packed(mask));
   for (std::int64_t j = 0; j < 8; ++j) {
     EXPECT_NEAR(y1.value().at(0, j), y2.value().at(0, j), 1e-5f);
     EXPECT_NEAR(y1.value().at(1, j), y2.value().at(1, j), 1e-5f);
@@ -145,13 +152,13 @@ TEST(Attention, GradientsCheckOut) {
   mask.at(0, 3) = -inf;
   mask.at(3, 0) = -inf;
   const Variable x(Tensor::Randn({4, 8}, rng));
-  CheckModuleGradients(attn, [&] { return ScalarLoss(attn.Forward(x, mask)); });
+  CheckModuleGradients(attn, [&] { return ScalarLoss(attn.Forward(x, Packed(mask))); });
 }
 
 TEST(DagTransformerLayer, ShapeAndGradients) {
   Rng rng(10);
   DagTransformerLayer layer(8, 2, 2, rng);
-  const Tensor mask({5, 5});
+  const auto mask = Packed(Tensor({5, 5}));
   const Variable x(Tensor::Randn({5, 8}, rng));
   const Variable y = layer.Forward(x, mask);
   EXPECT_EQ(y.value().dim(0), 5);
@@ -417,6 +424,46 @@ TEST(ParallelTrainer, BitIdenticalAcrossRunsForFixedThreadCount) {
   EXPECT_TRUE(BitIdenticalWeights(first.weights, second.weights));
   EXPECT_EQ(first.train_history, second.train_history);
   EXPECT_EQ(first.val_history, second.val_history);
+}
+
+/// Fit a small DAG Transformer on generated graphs (every attention call is
+/// the fused autograd::MaskedAttention node) and return its weights.
+std::vector<Tensor> FitDagTransformer(std::int64_t threads) {
+  constexpr std::int32_t kOpTypes = 4, kDTypes = 2;
+  Rng rng(0xda6);
+  std::vector<graph::EncodedGraph> graphs;
+  std::vector<float> targets;
+  std::vector<std::size_t> train_idx, val_idx;
+  for (std::size_t i = 0; i < 12; ++i) {
+    const auto n = static_cast<std::int32_t>(6 + rng.NextBelow(30));
+    graphs.push_back(
+        graph::EncodeGraph(graph::RandomDag(n, 0.15, rng, kOpTypes, kDTypes), kOpTypes, kDTypes));
+    targets.push_back(0.5f + 0.05f * static_cast<float>(n));
+    (i < 10 ? train_idx : val_idx).push_back(i);
+  }
+  core::PredictorOptions options;
+  options.feature_dim = graphs[0].features.dim(1);
+  options.dagt_dim = 8;
+  options.dagt_layers = 2;
+  options.dagt_heads = 2;
+  const auto model = core::MakePredictor(core::PredictorKind::kDagTransformer, options);
+  TrainConfig config;
+  config.max_epochs = 6;
+  config.patience = 6;
+  config.base_lr = 5e-3f;
+  config.batch_size = 4;
+  config.threads = threads;
+  (void)Trainer(config).Fit(
+      *model, [&](std::size_t i) { return model->Forward(graphs[i]); }, targets, train_idx,
+      val_idx);
+  return model->SnapshotParameters();
+}
+
+TEST(ParallelTrainer, DagTransformerFitBitIdenticalAcrossRuns) {
+  for (const std::int64_t threads : {std::int64_t{1}, std::int64_t{3}}) {
+    EXPECT_TRUE(BitIdenticalWeights(FitDagTransformer(threads), FitDagTransformer(threads)))
+        << threads << " threads";
+  }
 }
 
 TEST(ParallelTrainer, MatchesSerialWithinTolerance) {
