@@ -256,7 +256,7 @@ inline std::string GridConfigLine(const GridConfig& grid, std::size_t num_sample
      << " max_span=" << max_span << " epochs=" << t.max_epochs << " patience=" << t.patience
      << " lr=" << t.base_lr << " batch=" << t.batch_size
      << " loss=" << static_cast<int>(t.loss) << " shuffle_seed=" << t.shuffle_seed
-     << " threads=" << t.threads << " features=" << p.feature_dim << " dagt=" << p.dagt_dim
+     << " features=" << p.feature_dim << " dagt=" << p.dagt_dim
      << 'x' << p.dagt_layers << 'h' << p.dagt_heads << 'f' << p.dagt_ffn_mult
      << " gcn=" << p.gcn_dim << 'x' << p.gcn_layers << " gat=" << p.gat_dim << 'x'
      << p.gat_layers << " dagra=" << p.use_dagra << " dagpe=" << p.use_dagpe

@@ -1,6 +1,6 @@
 // Data-parallel training throughput: Trainer::Fit at a sweep of thread
 // counts on two workloads, writing per-thread-count epoch time + speedup
-// over the serial loop to BENCH_train.json (path overridable via
+// over one thread to BENCH_train.json (path overridable via
 // PREDTOP_BENCH_JSON):
 //  - a synthetic MLP regression (the shapes of a stage-predictor head:
 //    (16, 64) inputs through a {64, 256, 256, 1} MLP pooled to a scalar);
@@ -8,14 +8,14 @@
 //    training set of the Fig. 10 pipeline (22 stage graphs), 2 layers of
 //    dim 16 with 2 heads, batch 8, lr 5e-3, targets scaled by their mean.
 //
-// The threads=1 row is the original serial batch loop (one loss tree, one
-// backward); rows with threads>1 run the sharded path: per-sample
-// BackwardInto into per-shard buffers, fixed-order chunked reduction, one
-// Adam step. Speedups are only meaningful on multicore hardware — on a
-// single hardware thread the sweep still validates the machinery and
-// records ~1x. PREDTOP_BENCH_SMOKE=1 shrinks the workload so CI exercises
-// the harness in seconds; PREDTOP_TRAIN_BENCH_THREADS overrides the MLP
-// sweep (comma-separated).
+// Every row runs the same loop (per-sample BackwardInto into per-sample
+// gradient slots, a sample-order reduction, one Adam step), so every row's
+// final training loss must equal the threads=1 row's bit for bit; the
+// binary exits 1 when one differs. Speedups are only meaningful on
+// multicore hardware — on a single hardware thread the sweep still
+// validates the machinery and records ~1x. PREDTOP_BENCH_SMOKE=1 shrinks
+// the workload so CI exercises the harness in seconds;
+// PREDTOP_TRAIN_BENCH_THREADS overrides the MLP sweep (comma-separated).
 
 #include <algorithm>
 #include <cstdint>
@@ -62,7 +62,7 @@ Workload BuildWorkload(std::size_t samples) {
 struct Row {
   int threads = 0;
   double epoch_s = 0.0;
-  double speedup_vs_serial = 0.0;
+  double speedup_vs_1_thread = 0.0;
   double final_train_loss = 0.0;
 };
 
@@ -158,17 +158,24 @@ Row RunDagOnce(const DagWorkload& w, int threads, std::int64_t epochs, int reps)
   return row;
 }
 
-/// Rows of one sweep; the threads=1 row is the serial baseline.
+/// Rows of one sweep, each against the threads=1 row. Sets `invariant` to
+/// false when a row's final loss differs from that row's.
 template <typename RunFn>
-std::vector<Row> Sweep(const char* label, const std::vector<int>& threads_list, RunFn&& run) {
-  const Row serial = run(1);
+std::vector<Row> Sweep(const char* label, const std::vector<int>& threads_list, RunFn&& run,
+                       bool& invariant) {
+  const Row one = run(1);
   std::vector<Row> rows;
   for (const int threads : threads_list) {
-    Row row = threads == 1 ? serial : run(threads);
-    row.speedup_vs_serial = serial.epoch_s / row.epoch_s;
+    Row row = threads == 1 ? one : run(threads);
+    row.speedup_vs_1_thread = one.epoch_s / row.epoch_s;
     std::cerr << "[bench] " << label << " threads=" << row.threads << " epoch_s=" << row.epoch_s
-              << " speedup_vs_serial=" << row.speedup_vs_serial
+              << " speedup_vs_1_thread=" << row.speedup_vs_1_thread
               << " final_train_loss=" << row.final_train_loss << "\n";
+    if (row.final_train_loss != one.final_train_loss) {
+      std::cerr << "[bench] FAIL: " << label << " threads=" << row.threads
+                << " final_train_loss differs from threads=1\n";
+      invariant = false;
+    }
     rows.push_back(row);
   }
   return rows;
@@ -178,7 +185,7 @@ void WriteRows(std::ostream& out, const std::vector<Row>& rows, const char* inde
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     out << indent << "{\"threads\": " << row.threads << ", \"epoch_s\": " << row.epoch_s
-        << ", \"speedup_vs_serial\": " << row.speedup_vs_serial
+        << ", \"speedup_vs_1_thread\": " << row.speedup_vs_1_thread
         << ", \"final_train_loss\": " << row.final_train_loss << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -216,14 +223,15 @@ int main() {
   const std::vector<int> sweep = util::EnvIntList(
       "PREDTOP_TRAIN_BENCH_THREADS", smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8});
 
+  bool invariant = true;
   const Workload w = BuildWorkload(samples);
-  const std::vector<Row> rows =
-      Sweep("mlp", sweep, [&](int threads) { return RunOnce(w, threads, epochs, reps); });
+  const std::vector<Row> rows = Sweep(
+      "mlp", sweep, [&](int threads) { return RunOnce(w, threads, epochs, reps); }, invariant);
   const DagWorkload dag = BuildDagWorkload();
   const std::int64_t dag_epochs = smoke ? 2 : 20;
-  const std::vector<Row> dag_rows = Sweep("dag_transformer", {1, 2, 4}, [&](int threads) {
-    return RunDagOnce(dag, threads, dag_epochs, reps);
-  });
+  const std::vector<Row> dag_rows = Sweep(
+      "dag_transformer", {1, 2, 4},
+      [&](int threads) { return RunDagOnce(dag, threads, dag_epochs, reps); }, invariant);
   WriteJson(json_path, w, epochs, rows, dag, dag_epochs, dag_rows, smoke);
-  return 0;
+  return invariant ? 0 : 1;
 }

@@ -24,9 +24,10 @@
 #   ci/run.sh train      training lane: the parallel-backward / fused
 #                        attention node / trainer / online-refresh suites plus
 #                        a smoke train_throughput run recording epoch time vs
-#                        thread count (and speedup over the serial loop) for
-#                        the MLP and the Fig. 10 DAG Transformer workloads to
-#                        build/BENCH_train.json
+#                        thread count (and speedup over one thread) for the
+#                        MLP and the Fig. 10 DAG Transformer workloads to
+#                        build/BENCH_train.json; it fails when any thread
+#                        count's final loss differs from one thread's
 #   ci/run.sh cluster    additional ASan/UBSan build of the cluster suite:
 #                        wire-codec fuzz, router + shard workers over Unix
 #                        sockets, fork/exec worker processes, and the SIGKILL
@@ -148,8 +149,8 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/parallel_test
   # Parallel backward engine (staged deterministic accumulation, concurrent
   # BackwardInto on shared parameters), the fused attention node (its
-  # per-thread scratch) and the data-parallel trainer, including a DAG
-  # Transformer fitted on generated graphs through that node.
+  # per-thread scratch) and the data-parallel trainer, including MLP, DAG
+  # Transformer, GCN and GAT fits with concurrent forwards and backwards.
   run_filtered ./build-tsan/tests/autograd_test \
     'Engine.*:MaskedAttention.*:Autograd.MaskedAttentionGradients'
   run_filtered ./build-tsan/tests/nn_test 'ParallelTrainer.*'
@@ -203,8 +204,9 @@ if [[ "${1:-}" == "train" ]]; then
     'Engine.*:MaskedAttention.*:Autograd.MaskedAttentionGradients'
   run_filtered ./build/tests/nn_test 'ParallelTrainer.*:Adam.*:CosineDecay.*:SplitDataset.*'
   ./build/tests/online_test
-  # Thread sweep over the data-parallel Fit path; the serial row is the
-  # baseline, so the JSON records speedup directly.
+  # Thread sweep over Trainer::Fit; the 1-thread row is the baseline, so the
+  # JSON records speedup directly, and the run exits non-zero unless every
+  # row's final loss equals the 1-thread row's.
   PREDTOP_BENCH_SMOKE=1 PREDTOP_BENCH_JSON=build/BENCH_train.json \
     ./build/bench/train_throughput
 fi

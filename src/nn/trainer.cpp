@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <future>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 
 #include "autograd/engine.h"
 #include "autograd/functions.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace predtop::nn {
 
@@ -31,33 +32,39 @@ bool AllFinite(const tensor::Tensor& t) {
   return true;
 }
 
-/// Fixed-order chunked reduction of per-shard gradient buffers into
-/// shards[0] — the reduce-scatter half of a ring all-reduce, specialized to
-/// shared memory. Element j always accumulates shards 1..used-1 in that
-/// order, so chunking (the parallelism axis) can never change a per-element
-/// addition order: the reduced values are identical for every pool size,
-/// including no pool at all.
-void ReduceShardGrads(std::vector<std::vector<tensor::Tensor>>& shards, std::size_t used,
-                      util::ThreadPool* pool) {
-  if (used <= 1) return;
+/// Sum per-sample gradient slots element-wise in sample order into fresh
+/// tensors shaped like `params` — the reduce-scatter half of a ring
+/// all-reduce, specialized to shared memory. Element j always accumulates
+/// slots 0..used-1 in that order, an empty slot (a parameter the sample
+/// never reached) counting as zero, so chunking (the parallelism axis) can
+/// never change a per-element addition order: the sums are identical for
+/// every pool size, including no pool at all.
+std::vector<tensor::Tensor> ReduceSampleGrads(
+    const std::vector<std::vector<tensor::Tensor>>& slots, std::size_t used,
+    std::span<Variable* const> params, util::ThreadPool* pool) {
   constexpr std::size_t kChunk = 4096;
   struct Chunk {
     std::size_t param;
     std::size_t begin;
     std::size_t end;
   };
+  std::vector<tensor::Tensor> sums;
+  sums.reserve(params.size());
   std::vector<Chunk> chunks;
-  for (std::size_t p = 0; p < shards[0].size(); ++p) {
-    const std::size_t n = shards[0][p].numel();
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    sums.emplace_back(params[p]->value().shape());
+    const std::size_t n = sums[p].numel();
     for (std::size_t b = 0; b < n; b += kChunk) {
       chunks.push_back({p, b, std::min(n, b + kChunk)});
     }
   }
   const auto reduce_chunk = [&](std::size_t c) {
     const auto [param, begin, end] = chunks[c];
-    const auto acc = shards[0][param].data();
-    for (std::size_t s = 1; s < used; ++s) {
-      const auto src = shards[s][param].data();
+    const auto acc = sums[param].data();
+    for (std::size_t s = 0; s < used; ++s) {
+      const tensor::Tensor& slot = slots[s][param];
+      if (slot.numel() == 0) continue;
+      const auto src = slot.data();
       for (std::size_t j = begin; j < end; ++j) acc[j] += src[j];
     }
   };
@@ -66,6 +73,7 @@ void ReduceShardGrads(std::vector<std::vector<tensor::Tensor>>& shards, std::siz
   } else {
     for (std::size_t c = 0; c < chunks.size(); ++c) reduce_chunk(c);
   }
+  return sums;
 }
 
 }  // namespace
@@ -79,23 +87,33 @@ TrainResult Trainer::Fit(Module& model,
   TrainResult result;
   Adam optimizer(model, config_.adam);
   util::Rng rng(config_.shuffle_seed);
-  std::vector<std::size_t> order(train_indices.begin(), train_indices.end());
+  // Positions into train_indices, shuffled each epoch (the same permutation
+  // shuffling the indices themselves would give).
+  std::vector<std::size_t> order(train_indices.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
 
+  // The calling thread runs samples too, so `threads` workers need a pool
+  // of threads - 1; one thread needs none.
   const std::size_t threads =
-      config_.threads <= 1 ? 1 : static_cast<std::size_t>(config_.threads);
+      config_.threads > 0 ? static_cast<std::size_t>(config_.threads)
+                          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   std::optional<util::ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
+  if (threads > 1) pool.emplace(threads - 1);
   util::ThreadPool* pool_ptr = pool ? &*pool : nullptr;
 
   const std::vector<Variable*> params = model.Parameters();
-  // Per-shard gradient buffers, reused across batches. Shape-matched zero
-  // tensors so BackwardInto always takes the accumulate path and a parameter
-  // a shard never reaches simply stays zero.
-  std::vector<std::vector<tensor::Tensor>> shard_grads(threads > 1 ? threads : 0);
-  for (auto& shard : shard_grads) {
-    shard.reserve(params.size());
-    for (const auto* p : params) shard.emplace_back(p->value().shape());
-  }
+  const std::span<Variable* const> param_span(params);
+  // One gradient slot and one loss slot per sample of a batch. A sample
+  // empties its slot before its backward, so BackwardInto assigns each
+  // parameter's first contribution instead of adding it to zeros.
+  const std::size_t max_batch = std::min(
+      order.size(), static_cast<std::size_t>(std::max<std::int64_t>(1, config_.batch_size)));
+  std::vector<std::vector<tensor::Tensor>> grad_slots(max_batch,
+                                                      std::vector<tensor::Tensor>(params.size()));
+  std::vector<double> loss_slots(max_batch);
+  // Each sample's time in its previous epoch (by position in train_indices).
+  std::vector<double> sample_s(order.size(), 0.0);
+  std::vector<std::size_t> dispatch(max_batch);
 
   std::vector<tensor::Tensor> best_weights = model.SnapshotParameters();
   double best_val = std::numeric_limits<double>::infinity();
@@ -106,91 +124,50 @@ TrainResult Trainer::Fit(Module& model,
     const float lr = CosineDecayLr(config_.base_lr, epoch, config_.max_epochs);
     double epoch_loss = 0.0;
     std::size_t applied_samples = 0;
-    for (std::size_t start = 0; start < order.size();
-         start += static_cast<std::size_t>(config_.batch_size)) {
-      const std::size_t end =
-          std::min(order.size(), start + static_cast<std::size_t>(config_.batch_size));
+    for (std::size_t start = 0; start < order.size(); start += max_batch) {
+      const std::size_t end = std::min(order.size(), start + max_batch);
       const std::size_t batch_n = end - start;
       const float inv = 1.0f / static_cast<float>(batch_n);
-      double batch_mean = 0.0;
-      bool applied = false;
 
-      if (threads <= 1) {
-        // Serial baseline: one loss tree per batch, one backward, one step.
-        model.ZeroGrad();
-        Variable batch_loss;
-        for (std::size_t i = start; i < end; ++i) {
-          const std::size_t idx = order[i];
-          const Variable loss = SampleLoss(config_.loss, forward(idx), targets[idx]);
-          batch_loss = batch_loss.defined() ? autograd::Add(batch_loss, loss) : loss;
-        }
-        batch_loss = autograd::Scale(batch_loss, inv);
-        batch_mean = static_cast<double>(batch_loss.value().data()[0]);
-        if (std::isfinite(batch_mean)) {
-          autograd::Backward(batch_loss);
-          applied = optimizer.Step(lr);  // refused if gradients went non-finite
-        }
+      // Dispatch longest-first by the previous epoch's times, so no thread is
+      // left running two long samples at the end of the batch.
+      std::iota(dispatch.begin(), dispatch.begin() + static_cast<std::ptrdiff_t>(batch_n),
+                std::size_t{0});
+      std::stable_sort(dispatch.begin(), dispatch.begin() + static_cast<std::ptrdiff_t>(batch_n),
+                       [&](std::size_t a, std::size_t b) {
+                         return sample_s[order[start + a]] > sample_s[order[start + b]];
+                       });
+      // Each sample differentiates its own tape into its own slot k; which
+      // thread runs it, and when, does not matter, because the slots are
+      // summed in sample order afterwards.
+      const auto run_sample = [&](std::size_t j) {
+        const std::size_t k = dispatch[j];
+        const util::Stopwatch watch;
+        const std::size_t idx = train_indices[order[start + k]];
+        for (tensor::Tensor& slot : grad_slots[k]) slot = tensor::Tensor();
+        const Variable loss = SampleLoss(config_.loss, forward(idx), targets[idx]);
+        loss_slots[k] = static_cast<double>(loss.value().data()[0]);
+        autograd::BackwardInto(autograd::Scale(loss, inv), param_span,
+                               std::span<tensor::Tensor>(grad_slots[k]));
+        sample_s[order[start + k]] = watch.ElapsedSeconds();
+      };
+      if (pool_ptr != nullptr) {
+        pool_ptr->ParallelFor(batch_n, run_sample);
       } else {
-        // Data-parallel: shard the batch contiguously, run per-sample
-        // backwards into private per-shard buffers, reduce in fixed shard
-        // order, install once. Bit-identical across runs for this thread
-        // count: per-shard accumulation order is the shard's sample order,
-        // and the cross-shard reduction order is fixed (see ReduceShardGrads).
-        const std::size_t used = std::min(threads, batch_n);
-        const std::size_t per_shard = (batch_n + used - 1) / used;
-        for (std::size_t s = 0; s < used; ++s) {
-          for (std::size_t p = 0; p < params.size(); ++p) {
-            auto& buf = shard_grads[s][p];
-            if (buf.numel() == 0) {
-              buf = tensor::Tensor(params[p]->value().shape());  // re-arm after move
-            } else {
-              buf.Fill(0.0f);
-            }
-          }
-        }
-        std::vector<double> shard_sum(used, 0.0);
-        std::vector<std::future<void>> futures;
-        futures.reserve(used);
-        for (std::size_t s = 0; s < used; ++s) {
-          futures.push_back(pool_ptr->Submit([&, s] {
-            const std::size_t lo = start + s * per_shard;
-            const std::size_t hi = std::min(end, lo + per_shard);
-            const std::span<tensor::Tensor> grads(shard_grads[s]);
-            for (std::size_t i = lo; i < hi; ++i) {
-              const std::size_t idx = order[i];
-              const Variable loss = SampleLoss(config_.loss, forward(idx), targets[idx]);
-              shard_sum[s] += static_cast<double>(loss.value().data()[0]);
-              autograd::BackwardInto(autograd::Scale(loss, inv),
-                                     std::span<Variable* const>(params), grads);
-            }
-          }));
-        }
-        // Wait for EVERY shard before letting an exception unwind: tasks
-        // reference this frame's locals.
-        std::exception_ptr error;
-        for (auto& f : futures) {
-          try {
-            f.get();
-          } catch (...) {
-            if (!error) error = std::current_exception();
-          }
-        }
-        if (error) std::rethrow_exception(error);
+        for (std::size_t k = 0; k < batch_n; ++k) run_sample(k);
+      }
 
-        double batch_sum = 0.0;
-        for (std::size_t s = 0; s < used; ++s) batch_sum += shard_sum[s];
-        batch_mean = batch_sum / static_cast<double>(batch_n);
-        ReduceShardGrads(shard_grads, used, pool_ptr);
-        bool finite = std::isfinite(batch_mean);
-        for (std::size_t p = 0; finite && p < params.size(); ++p) {
-          finite = AllFinite(shard_grads[0][p]);
-        }
-        if (finite) {
-          for (std::size_t p = 0; p < params.size(); ++p) {
-            params[p]->SetGrad(std::move(shard_grads[0][p]));
-          }
-          applied = optimizer.Step(lr);
-        }
+      double batch_sum = 0.0;
+      for (std::size_t k = 0; k < batch_n; ++k) batch_sum += loss_slots[k];
+      const double batch_mean = batch_sum / static_cast<double>(batch_n);
+      std::vector<tensor::Tensor> grads =
+          ReduceSampleGrads(grad_slots, batch_n, param_span, pool_ptr);
+      bool finite = std::isfinite(batch_mean);
+      for (std::size_t p = 0; finite && p < params.size(); ++p) finite = AllFinite(grads[p]);
+      bool applied = false;
+      if (finite) {
+        for (std::size_t p = 0; p < params.size(); ++p) params[p]->SetGrad(std::move(grads[p]));
+        applied = optimizer.Step(lr);
       }
 
       if (applied) {

@@ -34,16 +34,15 @@ struct TrainConfig {
   std::uint64_t shuffle_seed = 0x7ea1ULL;
   /// Log progress every N epochs at debug level; 0 disables.
   std::int64_t log_every = 0;
-  /// Data-parallel workers: each mini-batch is sharded across this many
-  /// threads, per-shard gradients accumulate in private buffers (see
-  /// autograd::BackwardInto), and a fixed-order chunked reduction feeds one
-  /// Adam step — so results are bit-identical across runs for a given value.
-  /// <= 1 keeps the original serial loop (the throughput baseline; it sums
-  /// the batch loss before one backward, so its float rounding differs from
-  /// the sharded path by O(batch * eps)). Values > 1 require `forward` to be
-  /// safe to call concurrently from several threads (true for the tape
-  /// predictors: they share only parameter reads).
-  std::int64_t threads = 1;
+  /// Threads that run each mini-batch's samples (the calling thread is one
+  /// of them); 0 selects hardware_concurrency(). Every sample backpropagates
+  /// into its own gradient slot (see autograd::BackwardInto) and the slots
+  /// are summed per element in sample order before one Adam step, so
+  /// weights, loss histories, best_epoch and skipped_steps are bit-identical
+  /// for every value: it caps resources only. Values other than 1 require
+  /// `forward` to be safe to call concurrently from several threads (true
+  /// for the tape predictors: they share only parameter reads).
+  std::int64_t threads = 0;
 };
 
 struct TrainResult {

@@ -49,8 +49,8 @@ struct OnlineTrainerOptions {
   /// Tail fraction of each round's samples held out for validation /
   /// drift measurement (at least one sample stays in training).
   double val_fraction = 0.25;
-  /// Fine-tune configuration (typically few epochs, threads > 1 for the
-  /// data-parallel path).
+  /// Fine-tune configuration (typically few epochs). Its `threads` caps the
+  /// fine-tune's threads; the result does not depend on it.
   nn::TrainConfig train;
   /// Drift trips when fresh-sample MRE exceeds baseline * this factor.
   double drift_threshold = 1.25;

@@ -104,7 +104,7 @@ OnlineTrainerOptions DrillOptions(const std::string& checkpoint) {
   options.train.max_epochs = 4;
   options.train.patience = 4;
   options.train.batch_size = 4;
-  options.train.threads = 2;  // fine-tune through the data-parallel path
+  options.train.threads = 2;  // fine-tune on two threads beside the serving clients
   options.checkpoint_path = checkpoint;
   options.poll_interval = std::chrono::milliseconds(2);
   return options;
