@@ -5,7 +5,7 @@
 //     PredictSeconds on a real GPT-3 stage graph, one tape training step
 //     (forward, backward) per Fig. 10 GPT-3 training graph, the encode phase
 //     of a cold plan search (one EncodeStage per slice vs one
-//     structure-shared StageEncodings) and its
+//     program-keyed StageEncodings) and its
 //     forward phase (cold PredictBatch per mesh, serial vs fanned across a
 //     2- and a 4-worker pool), and writes the results to BENCH_kernels.json
 //     (path overridable via PREDTOP_BENCH_JSON). PREDTOP_BENCH_SMOKE=1
@@ -279,7 +279,8 @@ struct EncodeSearchRow {
   std::size_t slices = 0;
   std::size_t distinct = 0;
   double per_slice_s = 0.0;  // one EncodeStage per slice
-  double shared_s = 0.0;     // every slice through one fresh StageEncodings
+  double shared_s = 0.0;     // every slice through one fresh StageEncodings, which
+                             // builds a DAG only for each distinct program
   double per_slice_mask_mb = 0.0;
   double shared_mask_mb = 0.0;
 };

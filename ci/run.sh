@@ -17,9 +17,11 @@
 #                        inference parity + tensor suites under it, and a
 #                        smoke micro_kernels run recording GEMM /
 #                        warm-predict / batch speedups, the encode_search
-#                        row (per-slice vs structure-shared stage encoding of
-#                        a cold plan search) and the predict_search row (its
-#                        cold forwards, serial vs on 2- and 4-worker pools)
+#                        row (per-slice vs program-keyed shared stage
+#                        encoding of a cold plan search: one DAG build and
+#                        encode per distinct stage program) and the
+#                        predict_search row (its cold forwards, serial vs
+#                        on 2- and 4-worker pools)
 #                        to build-native/BENCH_kernels.json
 #   ci/run.sh train      training lane: the parallel-backward / fused
 #                        attention node / trainer / online-refresh suites plus

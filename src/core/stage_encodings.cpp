@@ -33,6 +33,17 @@ std::uint64_t StructureHash(const graph::OpDag& dag) noexcept {
 
 }  // namespace
 
+const graph::EncodedGraph& StageEncodings::Share(const ir::StageProgram& program) {
+  const std::uint64_t hash = ir::OpDagInputHash(program);
+  const auto [first, last] = by_program_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (ir::SameOpDagInputs(it->second.program, program)) return *it->second.encoded;
+  }
+  const graph::EncodedGraph& encoded = Share(ir::BuildPrunedOpDag(program));
+  by_program_.emplace(hash, ProgramEntry{program, &encoded});
+  return encoded;
+}
+
 const graph::EncodedGraph& StageEncodings::Share(graph::OpDag dag) {
   const std::uint64_t hash = StructureHash(dag);
   const auto [first, last] = by_structure_.equal_range(hash);

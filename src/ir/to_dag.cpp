@@ -1,8 +1,10 @@
 #include "ir/to_dag.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "graph/prune.h"
+#include "util/rng.h"
 
 namespace predtop::ir {
 
@@ -29,6 +31,26 @@ graph::DagNode MakeNode(graph::NodeKind kind, OpType op, const TensorSpec& spec)
     }
   }
   return node;
+}
+
+/// One multiply per word (FxHash-style): the hash only buckets programs, and
+/// SameOpDagInputs confirms every hit, so speed matters more than avalanche.
+std::uint64_t Combine(std::uint64_t h, std::uint64_t v) noexcept {
+  return (std::rotl(h, 5) ^ v) * 0x9e3779b97f4a7c15ULL;
+}
+
+std::uint64_t Combine(std::uint64_t h, std::span<const ValueId> ids) noexcept {
+  h = Combine(h, ids.size());
+  for (const ValueId id : ids) h = Combine(h, static_cast<std::uint64_t>(id));
+  return h;
+}
+
+bool SameValue(const Value& a, const Value& b) noexcept {
+  return a.spec == b.spec && a.kind == b.kind && a.defining_equation == b.defining_equation;
+}
+
+bool SameEquation(const Equation& a, const Equation& b) noexcept {
+  return a.op == b.op && a.operands == b.operands && a.result == b.result;
 }
 
 }  // namespace
@@ -76,6 +98,30 @@ graph::OpDag BuildPrunedOpDag(const StageProgram& program) {
            IsPrunableOp(static_cast<OpType>(node.op_type));
   });
   return std::move(result.dag);
+}
+
+std::uint64_t OpDagInputHash(const StageProgram& program) noexcept {
+  std::uint64_t h = Combine(0x6f70646167ULL, static_cast<std::uint64_t>(program.NumValues()));
+  for (const Value& value : program.values()) {
+    h = Combine(h, (static_cast<std::uint64_t>(value.kind) << 40) ^
+                       (static_cast<std::uint64_t>(value.spec.dtype) << 32) ^
+                       static_cast<std::uint32_t>(value.defining_equation));
+    h = Combine(h, value.spec.dims.size());
+    for (const std::int64_t d : value.spec.dims) h = Combine(h, static_cast<std::uint64_t>(d));
+  }
+  h = Combine(h, static_cast<std::uint64_t>(program.NumEquations()));
+  for (const Equation& eqn : program.equations()) {
+    h = Combine(h, (static_cast<std::uint64_t>(eqn.op) << 32) ^
+                       static_cast<std::uint32_t>(eqn.result));
+    h = Combine(h, eqn.operands);
+  }
+  return util::SplitMix64(Combine(h, program.outputs()));
+}
+
+bool SameOpDagInputs(const StageProgram& a, const StageProgram& b) noexcept {
+  return std::ranges::equal(a.values(), b.values(), SameValue) &&
+         std::ranges::equal(a.equations(), b.equations(), SameEquation) &&
+         std::ranges::equal(a.outputs(), b.outputs());
 }
 
 }  // namespace predtop::ir

@@ -49,6 +49,7 @@
 #include "graph/fingerprint.h"
 #include "ir/resnet.h"
 #include "ir/stages.h"
+#include "ir/to_dag.h"
 #include "serve/fallback.h"
 #include "serve/oracle.h"
 #include "serve/service.h"
@@ -1032,6 +1033,8 @@ std::size_t CheckSharedEncodings(const std::function<ir::StageProgram(ir::StageS
                              }),
               &shared);
   }
+  // Every distinct program built a distinct DAG: no DAG was built twice.
+  EXPECT_EQ(encodings.NumPrograms(), encodings.NumDistinct());
   return encodings.NumDistinct();
 }
 
@@ -1053,6 +1056,102 @@ TEST(StageEncodings, WideResNetSlicesShareBitEqualEncodings) {
       blocks, blocks);
   EXPECT_GT(distinct, 0u);
   EXPECT_LE(distinct, ir::EnumerateStageSlices(blocks, blocks).size());
+}
+
+/// Asserts, over every pair of slices of spans <= max_span, that two programs
+/// share a program key exactly when their pruned DAGs are equal.
+void CheckProgramKeyMatchesDag(const std::function<ir::StageProgram(ir::StageSlice)>& build,
+                               std::int32_t num_layers, std::int32_t max_span) {
+  std::vector<ir::StageProgram> programs;
+  std::vector<graph::OpDag> dags;
+  for (const ir::StageSlice slice : ir::EnumerateStageSlices(num_layers, max_span)) {
+    programs.push_back(build(slice));
+    dags.push_back(ir::BuildPrunedOpDag(programs.back()));
+  }
+  for (std::size_t a = 0; a < programs.size(); ++a) {
+    for (std::size_t b = a; b < programs.size(); ++b) {
+      const bool same_key = ir::SameOpDagInputs(programs[a], programs[b]);
+      ASSERT_EQ(same_key, dags[a] == dags[b]) << programs[a].name << " vs " << programs[b].name;
+      if (same_key) {
+        ASSERT_EQ(ir::OpDagInputHash(programs[a]), ir::OpDagInputHash(programs[b]));
+      }
+    }
+  }
+}
+
+TEST(StageEncodings, ProgramKeyEqualIffPrunedDagEqual) {
+  CheckProgramKeyMatchesDag(core::Gpt3Benchmark().build_stage, 24, 9);
+  CheckProgramKeyMatchesDag(core::MoeBenchmark().build_stage, 32, 11);
+  const ir::WideResNetConfig config;
+  const auto blocks = static_cast<std::int32_t>(config.num_blocks);
+  CheckProgramKeyMatchesDag(
+      [&config](ir::StageSlice slice) { return ir::BuildWideResNetStage(config, slice); }, blocks,
+      blocks);
+}
+
+/// x -> dot(x, w) -> gelu -> add(gelu, dot) -> output, with one optional edit.
+enum class ProgramEdit { kNone, kDim, kOperand, kOp, kOutput };
+
+ir::StageProgram SmallProgram(ProgramEdit edit) {
+  using ir::DType;
+  using ir::OpType;
+  ir::StageProgram program;
+  const ir::ValueId x = program.AddInput({DType::kF32, {8, 16}});
+  const ir::ValueId w =
+      program.AddLiteral({DType::kF32, {16, edit == ProgramEdit::kDim ? 48 : 32}});
+  const ir::ValueId y = program.AddEquation(OpType::kDot, {x, w}, {DType::kF32, {8, 32}}, 16);
+  const ir::ValueId z = program.AddEquation(
+      edit == ProgramEdit::kOp ? OpType::kTanh : OpType::kGelu, {y}, {DType::kF32, {8, 32}});
+  const ir::ValueId r = program.AddEquation(
+      OpType::kAdd, {z, edit == ProgramEdit::kOperand ? x : y}, {DType::kF32, {8, 32}});
+  program.MarkOutput(edit == ProgramEdit::kOutput ? z : r);
+  return program;
+}
+
+TEST(StageEncodings, ProgramKeyIgnoresMetadataButNotStructure) {
+  core::StageEncodings encodings;
+  const graph::EncodedGraph& base = encodings.Share(SmallProgram(ProgramEdit::kNone));
+
+  // Metadata that BuildOpDag does not read: one shared entry.
+  ir::StageProgram renamed = SmallProgram(ProgramEdit::kNone);
+  renamed.name = "other[3,5)";
+  renamed.first_layer = 3;
+  renamed.last_layer = 5;
+  renamed.has_embedding = true;
+  renamed.has_lm_head = true;
+  renamed.microbatch = 64;
+  EXPECT_EQ(&encodings.Share(renamed), &base);
+  EXPECT_EQ(encodings.NumPrograms(), 1u);
+  EXPECT_EQ(encodings.NumDistinct(), 1u);
+
+  // One dim, one operand, one op or one output: a new program and DAG each.
+  std::size_t expected = 1;
+  for (const ProgramEdit edit :
+       {ProgramEdit::kDim, ProgramEdit::kOperand, ProgramEdit::kOp, ProgramEdit::kOutput}) {
+    const ir::StageProgram program = SmallProgram(edit);
+    EXPECT_FALSE(ir::SameOpDagInputs(program, SmallProgram(ProgramEdit::kNone)));
+    const graph::EncodedGraph& encoded = encodings.Share(program);
+    ++expected;
+    EXPECT_NE(&encoded, &base);
+    EXPECT_EQ(encodings.NumPrograms(), expected);
+    EXPECT_EQ(encodings.NumDistinct(), expected);
+    ExpectEncodedBitEqual(encoded, core::EncodeStage(program));
+  }
+}
+
+TEST(StageEncodings, TemporaryProgramsAreKeptForLaterSlices) {
+  // A build that returns by value (as GreyBoxEstimator's and the worker's
+  // do): the store must keep its own copy of the program to match later
+  // slices against, not a reference to the temporary.
+  const core::BenchmarkModel gpt3 = core::Gpt3Benchmark();
+  core::StageEncodings encodings;
+  const graph::EncodedGraph& first = encodings.For({2, 5}, gpt3.build_stage);
+  std::vector<ir::StageProgram> churn;  // reuse the freed temporary's memory
+  for (int i = 0; i < 4; ++i) churn.push_back(gpt3.build_stage({0, 3}));
+  const graph::EncodedGraph& later = encodings.For({11, 14}, gpt3.build_stage);
+  EXPECT_EQ(&later, &first);
+  EXPECT_EQ(encodings.NumPrograms(), 1u);
+  ExpectEncodedBitEqual(later, core::EncodeStage(gpt3.build_stage({11, 14})));
 }
 
 TEST(StageEncodings, FingerprintCollisionsNeverShare) {

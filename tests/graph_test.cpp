@@ -9,12 +9,15 @@
 #include <limits>
 #include <set>
 
+#include "core/dataset.h"
 #include "graph/depth.h"
 #include "graph/encode.h"
 #include "graph/fingerprint.h"
 #include "graph/op_dag.h"
 #include "graph/prune.h"
 #include "graph/reachability.h"
+#include "ir/models.h"
+#include "ir/to_dag.h"
 #include "random_dag.h"
 #include "util/rng.h"
 
@@ -404,6 +407,55 @@ TEST(EncodeGraph, CachesFingerprint) {
   EXPECT_EQ(cached, g.fingerprint);
   g.fingerprint = 0;  // force recompute: must agree with the cached value
   EXPECT_EQ(EncodedGraphFingerprint(g), cached);
+}
+
+TEST(Fingerprint, GoldenValuesOfFig10StageGraphs) {
+  // The service and cluster caches key on these values (and cluster workers
+  // route on them), so a faster fingerprint must reproduce them exactly.
+  struct Golden {
+    const char* model;
+    ir::StageSlice slice;
+    std::uint64_t dag;
+    std::uint64_t encoded;
+  };
+  const Golden goldens[] = {
+      {"gpt3", {0, 1}, 0xffb3138b6a588cb2ULL, 0xa5b80a3344983f6bULL},
+      {"gpt3", {3, 7}, 0x1cfcd2ed49d3e162ULL, 0x23ff417452b89654ULL},
+      {"gpt3", {15, 24}, 0xcd1fd6b894d49115ULL, 0x5770f59075687a4bULL},
+      {"moe", {0, 2}, 0x51a33b455a8740fcULL, 0x91f5f7a05556ce3dULL},
+      {"moe", {5, 9}, 0xbe1f345385707271ULL, 0xef1ad8c3afc5b768ULL},
+      {"moe", {21, 32}, 0x77c9ed2e23c93bdbULL, 0xe1baed59430f7547ULL},
+  };
+  const core::BenchmarkModel gpt3 = core::Gpt3Benchmark();
+  const core::BenchmarkModel moe = core::MoeBenchmark();
+  for (const Golden& golden : goldens) {
+    const core::BenchmarkModel& model = golden.model == std::string("gpt3") ? gpt3 : moe;
+    const OpDag dag = ir::BuildPrunedOpDag(model.build_stage(golden.slice));
+    EXPECT_EQ(DagFingerprint(dag), golden.dag)
+        << golden.model << "[" << golden.slice.first_layer << "," << golden.slice.last_layer
+        << ")";
+    EncodedGraph g = core::EncodeStage(model.build_stage(golden.slice));
+    EXPECT_EQ(g.fingerprint, golden.encoded)
+        << golden.model << "[" << golden.slice.first_layer << "," << golden.slice.last_layer
+        << ")";
+    g.fingerprint = 0;  // the on-demand path computes the same value
+    EXPECT_EQ(EncodedGraphFingerprint(g), golden.encoded);
+  }
+}
+
+TEST(Fingerprint, DagFingerprintIgnoresNodeOrder) {
+  Rng rng(23);
+  for (const double density : {0.0, 0.05, 0.2, 0.6}) {
+    for (const std::int32_t n : {1, 2, 7, 40, 150}) {
+      const OpDag dag = RandomDag(n, density, rng, 23, 5);
+      const std::uint64_t want = DagFingerprint(dag);
+      for (int permutation = 0; permutation < 3; ++permutation) {
+        const OpDag permuted = PermutedDag(dag, rng);
+        ASSERT_EQ(permuted.NumEdges(), dag.NumEdges());
+        EXPECT_EQ(DagFingerprint(permuted), want) << "n=" << n << " density=" << density;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // Seeded random operator DAGs shared by the graph and inference tests.
 
 #include <cstdint>
+#include <numeric>
+#include <span>
+#include <vector>
 
 #include "graph/op_dag.h"
 #include "util/rng.h"
@@ -36,6 +39,24 @@ inline OpDag RandomDag(std::int32_t n, double edge_prob, util::Rng& rng,
     }
   }
   return dag;
+}
+
+/// The same graph with its nodes placed in a seeded random index order:
+/// node i of `dag` becomes node order[i] of the result, and every edge keeps
+/// its endpoints.
+inline OpDag PermutedDag(const OpDag& dag, util::Rng& rng) {
+  const auto n = static_cast<std::int32_t>(dag.NumNodes());
+  std::vector<std::int32_t> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  rng.Shuffle(std::span<std::int32_t>(order));
+  std::vector<std::int32_t> original(order.size());
+  for (std::int32_t i = 0; i < n; ++i) original[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = i;
+  OpDag permuted;
+  for (const std::int32_t i : original) permuted.AddNode(dag.Node(i));
+  for (const auto& [u, v] : dag.Edges()) {
+    permuted.AddEdge(order[static_cast<std::size_t>(u)], order[static_cast<std::size_t>(v)]);
+  }
+  return permuted;
 }
 
 }  // namespace predtop::graph
