@@ -36,10 +36,10 @@
 // PREDTOP_BATCH_DRILL=1 runs the plan search through the per-query oracle
 // (one sequential compiled forward per stage query) then through the batch
 // oracle on both paper platforms and asserts the chosen plans are
-// BIT-equal — stacking and interleaving are exact transformations, so unlike
-// the compile drill there is no tolerance: any divergence is a bug. Also
-// asserts the batch executors actually engaged (their process-wide query
-// counters moved).
+// BIT-equal — every batched forward is the same sequential compiled forward,
+// so unlike the compile drill there is no tolerance: any divergence is a bug.
+// Also asserts the batch path actually engaged (the service's
+// batched_queries counter moved).
 
 #include <algorithm>
 #include <cmath>
@@ -54,7 +54,6 @@
 
 #include "bench_common.h"
 #include "cluster/local.h"
-#include "compile/batch.h"
 #include "compile/cache.h"
 #include "cluster/oracle.h"
 #include "cluster/router.h"
@@ -287,11 +286,12 @@ bool RunCompileDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSp
 }
 
 // Batch drill: the same plan search twice on one platform — first through the
-// per-query oracle (every stage query is one sequential compiled forward),
-// then through the batch oracle (same-shape query groups run through the
-// stacked/interleaved executors) — asserting the two plans are bit-equal:
-// identical stage slices and meshes, and iteration latencies equal to the
-// last bit. Returns true when they are and the batch executors engaged.
+// per-query oracle (every stage query is one Predict call), then through the
+// batch oracle (each mesh's queries go through one PredictMany call, whose
+// shape groups fan out on the service pool) — asserting the two plans are
+// bit-equal: identical stage slices and meshes, and iteration latencies
+// equal to the last bit. Returns true when they are and the batch path
+// engaged (ServiceStats::batched_queries moved).
 bool RunBatchDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec& cluster,
                    const std::string& platform_label, std::int32_t max_span,
                    const bench::GridConfig& grid) {
@@ -320,20 +320,19 @@ bool RunBatchDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec
   const parallel::PipelinePlan plan_off = optimizer.Optimize(oracle.AsOracle());
   const double off_s = off_watch.ElapsedSeconds();
 
-  // Fresh prediction cache so the batched pass answers every query through
-  // the batch executors instead of replaying fingerprint-cached results (the
+  // Fresh prediction cache so the batched pass runs a forward for every
+  // distinct query instead of replaying fingerprint-cached results (the
   // compiled programs themselves can and should be reused).
   service.ClearCache();
-  const std::uint64_t batch_queries_before =
-      compile::BatchedForwards() + compile::InterleavedForwards();
+  const std::uint64_t batch_queries_before = service.Stats().batched_queries;
   util::Stopwatch on_watch;
   const parallel::PipelinePlan plan_on = optimizer.Optimize(oracle.AsBatchOracle());
   const double on_s = on_watch.ElapsedSeconds();
-  const std::uint64_t batch_queries =
-      compile::BatchedForwards() + compile::InterleavedForwards() - batch_queries_before;
+  const std::uint64_t batch_queries = service.Stats().batched_queries - batch_queries_before;
 
   const bool structural = SameStages(plan_on, plan_off);
-  // Bit-equality, not a tolerance: the batch executors are exact.
+  // Bit-equality, not a tolerance: every batched forward is one sequential
+  // Execute, exactly as on the per-query path.
   const bool latency_ok =
       plan_on.iteration_latency_s == plan_off.iteration_latency_s;
   const bool ok = structural && latency_ok && batch_queries > 0;
@@ -346,7 +345,7 @@ bool RunBatchDrill(const core::BenchmarkModel& benchmark, const sim::ClusterSpec
   table.AddRow({"batched", util::FormatSeconds(on_s),
                 util::FormatSeconds(plan_on.iteration_latency_s), ok ? "yes" : "NO"});
   table.Print(std::cout);
-  std::cout << "queries through the batch executors: " << batch_queries << "\n\n";
+  std::cout << "queries through PredictMany: " << batch_queries << "\n\n";
   if (!ok) {
     std::cerr << "[bench] batch drill " << platform_label << ": structural=" << structural
               << " latency_bit_equal=" << latency_ok
@@ -655,7 +654,7 @@ int main() {
   }
   // PREDTOP_BATCH_DRILL=1 runs only the batched-vs-sequential compiled plan
   // comparison on both paper platforms and exits non-zero if the plans are
-  // not bit-equal or the batch executors never engaged.
+  // not bit-equal or the batch path never engaged.
   if (util::EnvBool("PREDTOP_BATCH_DRILL", false)) {
     bool ok = RunBatchDrill(bench::PaperGpt3(), sim::Platform1(), "platform1",
                             grid.gpt_max_span, grid);

@@ -22,11 +22,11 @@
 #include <iostream>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "compile/batch.h"
 #include "core/dataset.h"
 #include "core/predictors.h"
 #include "core/regressor.h"
@@ -203,20 +203,18 @@ std::vector<TrainStageRow> RunTrainStage(bool smoke) {
 
 struct BatchRow {
   std::int64_t batch = 0;
-  double sequential_s = 0.0;   // B sequential Infer calls (compiled forwards)
-  double batched_s = 0.0;      // one stacked pass over the whole batch
-  double interleaved_s = 0.0;  // independent forwards fanned across a pool
-  double auto_s = 0.0;         // whatever ExecuteBatch's kAuto heuristic picks
+  double sequential_s = 0.0;     // B sequential Infer calls (compiled forwards)
+  double predict_batch_s = 0.0;  // one PredictBatch call fanned out on a pool
 };
 
 std::vector<BatchRow> RunBatchSweep(bool smoke) {
   // Same-shape batches of the paper-size stage with per-query feature
-  // perturbations (so the stacked path cannot cheat by deduplicating), run
-  // through the compiled executor sequentially, stacked, and interleaved.
+  // perturbations, run through the compiled program one Infer at a time and
+  // through one PredictBatch call whose members fan out on a pool.
   const graph::EncodedGraph base = core::EncodeStage(SampleStage());
   core::PredictorOptions options;
   options.feature_dim = core::StageFeatureDim();
-  auto model = core::MakePredictor(core::PredictorKind::kDagTransformer, options);
+  core::LatencyRegressor regressor(core::PredictorKind::kDagTransformer, options);
   const std::vector<std::int64_t> batches =
       smoke ? std::vector<std::int64_t>{4, 16} : std::vector<std::int64_t>{1, 4, 16, 64};
   const int reps = smoke ? 3 : 10;
@@ -227,47 +225,27 @@ std::vector<BatchRow> RunBatchSweep(bool smoke) {
     const float scale = 1.0f + 0.02f * static_cast<float>(q % 17);
     for (float& x : graphs[q].features.data()) x *= scale;
   }
-  std::vector<const graph::EncodedGraph*> ptrs;
-  for (const auto& g : graphs) ptrs.push_back(&g);
 
   util::ThreadPool pool(tensor::GemmThreads());
   std::vector<BatchRow> rows;
   for (const std::int64_t b : batches) {
     BatchRow row;
     row.batch = b;
-    std::vector<float> out(static_cast<std::size_t>(b));
     row.sequential_s = BestOf(reps, [&] {
       for (std::int64_t q = 0; q < b; ++q) {
-        benchmark::DoNotOptimize(model->Infer(graphs[static_cast<std::size_t>(q)]));
+        benchmark::DoNotOptimize(regressor.Model().Infer(graphs[static_cast<std::size_t>(q)]));
       }
     });
-    compile::BatchOptions stacked;
-    stacked.mode = compile::BatchMode::kBatched;
-    row.batched_s = BestOf(reps, [&] {
-      (void)model->TryInferCompiledBatch(ptrs.data(), static_cast<std::size_t>(b),
-                                         out.data(), stacked);
-      benchmark::DoNotOptimize(out.data());
-    });
-    compile::BatchOptions interleaved;
-    interleaved.mode = compile::BatchMode::kInterleaved;
-    interleaved.pool = &pool;
-    row.interleaved_s = BestOf(reps, [&] {
-      (void)model->TryInferCompiledBatch(ptrs.data(), static_cast<std::size_t>(b),
-                                         out.data(), interleaved);
-      benchmark::DoNotOptimize(out.data());
-    });
-    row.auto_s = BestOf(reps, [&] {
-      (void)model->TryInferCompiledBatch(ptrs.data(), static_cast<std::size_t>(b),
-                                         out.data(), compile::BatchOptions{});
-      benchmark::DoNotOptimize(out.data());
+    row.predict_batch_s = BestOf(reps, [&] {
+      benchmark::DoNotOptimize(regressor.PredictBatch(
+          std::span<const graph::EncodedGraph>(graphs.data(), static_cast<std::size_t>(b)),
+          &pool));
     });
     std::cerr << "[bench] batch " << b << ": sequential "
-              << row.sequential_s / static_cast<double>(b) * 1e6 << " us/query, stacked "
-              << row.batched_s / static_cast<double>(b) * 1e6 << " us/query ("
-              << row.sequential_s / row.batched_s << "x), interleaved "
-              << row.interleaved_s / static_cast<double>(b) * 1e6 << " us/query ("
-              << row.sequential_s / row.interleaved_s << "x), auto "
-              << row.auto_s / static_cast<double>(b) * 1e6 << " us/query\n";
+              << row.sequential_s / static_cast<double>(b) * 1e6
+              << " us/query, PredictBatch on a " << pool.ThreadCount() << "-worker pool "
+              << row.predict_batch_s / static_cast<double>(b) * 1e6 << " us/query ("
+              << row.sequential_s / row.predict_batch_s << "x)\n";
     rows.push_back(row);
   }
   return rows;
@@ -444,14 +422,10 @@ void WriteJson(const std::string& path, const std::vector<GemmRow>& gemm,
     const BatchRow& row = batch[i];
     const double b = static_cast<double>(row.batch);
     out << "    {\"batch\": " << row.batch << ", \"sequential_s\": " << row.sequential_s
-        << ", \"batched_s\": " << row.batched_s
-        << ", \"interleaved_s\": " << row.interleaved_s << ", \"auto_s\": " << row.auto_s
+        << ", \"predict_batch_s\": " << row.predict_batch_s
         << ", \"sequential_per_query_us\": " << row.sequential_s / b * 1e6
-        << ", \"batched_per_query_us\": " << row.batched_s / b * 1e6
-        << ", \"interleaved_per_query_us\": " << row.interleaved_s / b * 1e6
-        << ", \"speedup_batched\": " << row.sequential_s / row.batched_s
-        << ", \"speedup_interleaved\": " << row.sequential_s / row.interleaved_s
-        << ", \"speedup_auto\": " << row.sequential_s / row.auto_s << "}"
+        << ", \"predict_batch_per_query_us\": " << row.predict_batch_s / b * 1e6
+        << ", \"speedup_predict_batch\": " << row.sequential_s / row.predict_batch_s << "}"
         << (i + 1 < batch.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"encode_search\": [\n";

@@ -37,9 +37,9 @@
 #   ci/run.sh compile    compiled-inference lane: ASan/UBSan build of the
 #                        compile suite (fp32 plan-vs-tape parity, planner
 #                        properties, allocation-free warm forwards,
-#                        stacked/interleaved batch bit-parity, the kAuto
-#                        interleave crossover, program-cache LRU and owner
-#                        eviction), the Infer suite (generated-DAG parity,
+#                        PredictBatch-vs-PredictSeconds bit-parity on every
+#                        pool, one program per shape class, program-cache
+#                        LRU and owner eviction), the Infer suite (generated-DAG parity,
 #                        the tape fallback), the packed-GEMM tests and the
 #                        PredictMany batch-vs-per-query suites, then the
 #                        fig10 compile drill (plan search priced through
@@ -111,8 +111,9 @@ if [[ "${1:-}" == "compile" ]]; then
     --target compile_test infer_test tensor_test serve_test fig10_optimization
   # Full compile suite under ASan/UBSan: fp32 parity for every predictor,
   # planner properties, the plan-buffer high-water-mark (allocation-free warm
-  # forward) assertion, stacked + interleaved batch bit-parity across batch
-  # sizes {1,2,7,64} and pool widths {1,2,8}, the kAuto crossover, cache
+  # forward) assertion, PredictBatch-vs-PredictSeconds bit-parity for every
+  # predictor and DAGT ablation across batch sizes {1,2,7,64} with no pool
+  # and pools of {1,2,8} workers, one program build per shape class, cache
   # LRU/eviction, and concurrent compiled forwards. The Infer suite adds
   # compiled-vs-tape parity on generated DAGs and the tape fallback; the
   # packed-GEMM tests re-drive the kernels the compiled programs call into.
@@ -120,15 +121,15 @@ if [[ "${1:-}" == "compile" ]]; then
   ./build-asan/tests/infer_test
   run_filtered ./build-asan/tests/tensor_test 'PackedGemm.*'
   # PredictMany's batch path vs per-query Predict, plus the exported
-  # compiled-path counters.
+  # program-cache counters.
   run_filtered ./build-asan/tests/serve_test 'Service.*'
   # Plan search priced through the compiled programs and through the tape,
   # both paper platforms: the plans must be equal and the compiled path must
   # actually engage.
   PREDTOP_COMPILE_DRILL=1 PREDTOP_EPOCHS=40 ./build-asan/bench/fig10_optimization
   # Plan search through the per-query oracle then the batch oracle: the
-  # chosen plans must be BIT-equal (the batch executors are exact) and the
-  # batch path must engage. Both legs read the search's shared stage
+  # chosen plans must be BIT-equal (every batched forward is the same
+  # sequential compiled forward) and the batch path must engage. Both legs read the search's shared stage
   # encodings, so this also pins sharing as plan-neutral.
   PREDTOP_BATCH_DRILL=1 PREDTOP_EPOCHS=40 ./build-asan/bench/fig10_optimization
 fi
@@ -169,13 +170,13 @@ if [[ "${1:-}" == "tsan" ]]; then
   run_filtered ./build-tsan/tests/infer_test 'InferConcurrency.*:InferParity.*'
   # Concurrent *compiled* forwards on one shared model: the program cache's
   # build-once-per-shape race, per-thread plan buffers, and the packed
-  # weight snapshots under simultaneous readers — sequential and batched (the
-  # stacked executor's snapshot/cache/mask-run sharing across threads) — and
-  # LatencyRegressor::PredictBatch's shape groups as concurrent pool tasks
-  # sharing one predictor's program cache, depth-encoding cache and Linear
-  # snapshots.
+  # weight snapshots under simultaneous readers — through Infer and through
+  # concurrent LatencyRegressor::PredictBatch calls on one shared regressor,
+  # some fanning out on one shared pool — plus PredictBatch's shape groups,
+  # and each group's members, as nested pool tasks sharing one predictor's
+  # program cache, depth-encoding cache and Linear snapshots.
   run_filtered ./build-tsan/tests/compile_test \
-    'CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTape:CompiledParity.DepthEncodingCacheSeparatesNodeOrders:CompiledBatch.RegressorBatchFanOutMatchesPerGraphOnEveryPool'
+    'CompiledConcurrency.*:CompiledBatchConcurrency.*:ProgramCache.*:CompiledParity.AllPredictorsMatchTape:CompiledParity.DepthEncodingCacheSeparatesNodeOrders:CompiledBatch.RegressorBatchFanOutMatchesPerGraphOnEveryPool:CompiledBatch.InterleavedModeMatchesAcrossThreadCounts:CompiledBatch.OneProgramPerShapeClassOnAPool'
   # Router concurrency: the cluster-wide coalescing map, per-worker
   # connection locking and failover counters under concurrent clients, the
   # worker's StageEncodings store shared by its connection threads, plus

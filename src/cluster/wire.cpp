@@ -319,8 +319,6 @@ std::string EncodeStatsBody(const StatsBody& body) {
   w.U64(body.svc_p99_us);
   w.U64(body.program_cache_hits);
   w.U64(body.program_cache_misses);
-  w.U64(body.batched_forwards);
-  w.U64(body.interleaved_forwards);
   return w.Take();
 }
 
@@ -342,8 +340,6 @@ StatsBody DecodeStatsBody(std::string_view payload) {
   body.svc_p99_us = r.U64();
   body.program_cache_hits = r.U64();
   body.program_cache_misses = r.U64();
-  body.batched_forwards = r.U64();
-  body.interleaved_forwards = r.U64();
   r.ExpectEnd();
   return body;
 }

@@ -160,14 +160,12 @@ struct StatsBody {
   // scheduling the server cannot bound.
   std::uint64_t svc_p50_us = 0;
   std::uint64_t svc_p99_us = 0;
-  // Compiled-path counters: program-cache outcomes and queries run through
-  // the stacked / interleaved batch executors — process-wide in the worker,
-  // surfaced so the overload/cluster benches can measure the batch path's
-  // coverage.
+  // Compiled-program cache outcomes, process-wide in the worker. The body
+  // ends here: a body from a peer that still sends the two deleted
+  // batch-executor counters after these fields carries 16 trailing bytes and
+  // fails DecodeStatsBody's end check with a typed kCorruption error.
   std::uint64_t program_cache_hits = 0;
   std::uint64_t program_cache_misses = 0;
-  std::uint64_t batched_forwards = 0;
-  std::uint64_t interleaved_forwards = 0;
 };
 
 struct ErrorBody {

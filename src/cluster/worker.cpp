@@ -303,8 +303,6 @@ Frame Worker::HandleStats(const Frame& request) {
   body.svc_p99_us = ServiceLatencyPercentileUs(0.99);
   body.program_cache_hits = stats.program_cache_hits;
   body.program_cache_misses = stats.program_cache_misses;
-  body.batched_forwards = stats.batched_forwards;
-  body.interleaved_forwards = stats.interleaved_forwards;
   return {MessageType::kStatsResponse, request.request_id, EncodeStatsBody(body)};
 }
 

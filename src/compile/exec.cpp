@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "compile/exec_detail.h"
 #include "compile/program.h"
 #include "tensor/fused.h"
 #include "tensor/ops.h"
@@ -15,11 +14,34 @@ namespace predtop::compile {
 
 namespace {
 
+/// Lanes below this are treated as -inf masked (matches the autograd mask
+/// builder's -1e30 sentinel with headroom).
+constexpr float kNegInfCut = -1e30f;
+
+/// Per-graph open-lane structure of the DAGRA reachability mask, shared by
+/// every attention step of one forward (the mask is identical across layers
+/// and heads). Grow-only members so a warm rebuild never allocates.
+struct MaskRuns {
+  /// Per-row window hull: lanes outside [win_lo[i], win_hi[i]) are -inf.
+  std::vector<std::int32_t> win_lo;
+  std::vector<std::int32_t> win_hi;
+  /// Open-lane runs, CSR over rows: row i's [lo, hi) pairs live at
+  /// chunk_bounds[2 * chunk_start[i] .. 2 * chunk_start[i + 1]).
+  std::vector<std::int32_t> chunk_start;
+  std::vector<std::int32_t> chunk_bounds;
+  /// Per GEMM row block (kGemmMr rows): the block's row runs merged and
+  /// rounded out to packed-panel granularity — the column ranges the logits
+  /// GEMM must actually compute.
+  std::vector<std::int32_t> brun_start;
+  std::vector<std::int32_t> brun_bounds;
+  std::vector<std::int32_t> brun_scratch;
+};
+
 /// Thread-local execution state: the flat plan buffer and the per-row mask
 /// windows. Grow-only so a warm forward never allocates.
 struct ExecState {
   std::vector<float> buf;
-  detail::MaskRuns runs;
+  MaskRuns runs;
 };
 
 ExecState& ThreadExecState() {
@@ -27,10 +49,8 @@ ExecState& ThreadExecState() {
   return state;
 }
 
-}  // namespace
-
-namespace detail {
-
+/// True when the program contains a fused-attention step (the only consumer
+/// of MaskRuns).
 bool NeedsMaskRuns(const InferProgram& p) noexcept {
   for (const Step& s : p.steps) {
     if (s.kind == OpKind::kFusedAttention) return true;
@@ -38,6 +58,9 @@ bool NeedsMaskRuns(const InferProgram& p) noexcept {
   return false;
 }
 
+/// The shape/presence checks Execute performs before touching the plan
+/// buffer: graph shape class, feature dims, mask/pe presence when the
+/// program wants them. False = caller must fall back.
 bool ValidateInputs(const InferProgram& p, const ExecInputs& in) noexcept {
   if (in.g == nullptr || p.output == kNoValue) return false;
   const graph::EncodedGraph& g = *in.g;
@@ -112,6 +135,8 @@ const float* LinearBias(const Step& s) {
   return b != nullptr ? b->value().data().data() : nullptr;
 }
 
+/// Scan in.mask (or synthesize full windows when the program's attention is
+/// unmasked) into `state`. Warm calls reuse the vectors' capacity.
 void BuildMaskRuns(const InferProgram& p, const ExecInputs& in, MaskRuns& state) {
   bool wants_mask = false;
   for (const Step& s : p.steps) {
@@ -214,8 +239,6 @@ void BuildMaskRuns(const InferProgram& p, const ExecInputs& in, MaskRuns& state)
         static_cast<std::int32_t>(state.brun_bounds.size() / 2);
   }
 }
-
-namespace {
 
 /// Mask-aware fused attention: combined q|k|v projection, per-head windowed
 /// logits GEMM, deferred softmax restricted to each row's open-lane window,
@@ -457,26 +480,43 @@ void RunSegmentSoftmax(const InferProgram& p, const ExecInputs& in, const float*
   }
 }
 
-}  // namespace
+/// Operand `v` of a step: the caller's inputs for externals, else its block
+/// of the plan buffer at the planner's fixed offset.
+const float* Operand(const InferProgram& p, const ExecInputs& in, const float* base,
+                     ValueId v) {
+  if (v == kNoValue) return nullptr;
+  switch (p.values[static_cast<std::size_t>(v)].external) {
+    case External::kFeatures: return in.g->features.data().data();
+    case External::kDepthPe: return in.pe;
+    case External::kNone: break;
+  }
+  return base + p.offsets[static_cast<std::size_t>(v)];
+}
 
+/// Execute step `si` of `p` against the plan buffer `base`. `scratch` must
+/// hold p.scratch_floats floats.
 void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot& snap,
-             const ExecInputs& in, const StepOperands& ops, std::int64_t rows,
-             float* scratch, const MaskRuns* runs) {
+             const ExecInputs& in, float* base, float* scratch, const MaskRuns& runs) {
   const Step& s = p.steps[si];
+  const std::int64_t rows = p.values[static_cast<std::size_t>(s.out)].rows;
   const std::int64_t cols = p.values[static_cast<std::size_t>(s.out)].cols;
+  const float* in_a = Operand(p, in, base, s.a);
+  const float* in_b = Operand(p, in, base, s.b);
+  const float* in_c = Operand(p, in, base, s.c);
+  float* res = base + p.offsets[static_cast<std::size_t>(s.out)];
   const graph::EncodedGraph& g = *in.g;
   switch (s.kind) {
     case OpKind::kLinear:
     case OpKind::kLinearAct: {
-      LinearGemm(s, snap.lin[si], ops.a, rows, ops.out);
-      tensor::fused::BiasActRows(ops.out, rows, cols, cols, LinearBias(s), s.act);
+      LinearGemm(s, snap.lin[si], in_a, rows, res);
+      tensor::fused::BiasActRows(res, rows, cols, cols, LinearBias(s), s.act);
       break;
     }
     case OpKind::kLinearResidualNorm: {
-      float* y = ops.out;
-      LinearGemm(s, snap.lin[si], ops.a, rows, y);
+      float* y = res;
+      LinearGemm(s, snap.lin[si], in_a, rows, y);
       const float* bias = LinearBias(s);
-      const float* r = ops.b;
+      const float* r = in_b;
       const float* gain = s.gain->value().data().data();
       const float* beta = s.bias->value().data().data();
       for (std::int64_t i = 0; i < rows; ++i) {
@@ -494,29 +534,29 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       break;
     }
     case OpKind::kFusedAttention:
-      RunFusedAttention(p, s, snap, ops.a, ops.out, scratch, *runs);
+      RunFusedAttention(p, s, snap, in_a, res, scratch, runs);
       break;
     case OpKind::kScale: {
-      float* a = ops.out;
+      float* a = res;
       const std::int64_t total = rows * cols;
       for (std::int64_t i = 0; i < total; ++i) a[i] *= s.scalar;
       break;
     }
     case OpKind::kAdd: {
-      float* a = ops.out;
-      const float* b = ops.b;
+      float* a = res;
+      const float* b = in_b;
       const std::int64_t total = rows * cols;
       for (std::int64_t i = 0; i < total; ++i) a[i] += b[i];
       break;
     }
     case OpKind::kRelu: {
-      float* a = ops.out;
+      float* a = res;
       const std::int64_t total = rows * cols;
       for (std::int64_t i = 0; i < total; ++i) a[i] = a[i] > 0.0f ? a[i] : 0.0f;
       break;
     }
     case OpKind::kLeakyRelu: {
-      float* a = ops.out;
+      float* a = res;
       const std::int64_t total = rows * cols;
       for (std::int64_t i = 0; i < total; ++i) {
         a[i] = a[i] > 0.0f ? a[i] : s.scalar * a[i];
@@ -524,8 +564,8 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       break;
     }
     case OpKind::kLayerNorm: {
-      const float* x = ops.a;
-      float* y = ops.out;
+      const float* x = in_a;
+      float* y = res;
       const float* gain = s.gain->value().data().data();
       const float* beta = s.bias->value().data().data();
       for (std::int64_t i = 0; i < rows; ++i) {
@@ -534,12 +574,12 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       break;
     }
     case OpKind::kAttnHeads:
-      RunAttnHeads(p, s, in, ops.a, ops.b, ops.c, ops.out, scratch);
+      RunAttnHeads(p, s, in, in_a, in_b, in_c, res, scratch);
       break;
     case OpKind::kSpmm: {
       const tensor::Csr& a = *g.adj_norm;
-      const float* x = ops.a;
-      float* y = ops.out;
+      const float* x = in_a;
+      float* y = res;
       std::fill(y, y + rows * cols, 0.0f);
       for (std::int64_t i = 0; i < a.rows; ++i) {
         float* yrow = y + i * cols;
@@ -555,8 +595,8 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
     }
     case OpKind::kPool: {
       const ValueInfo& av = p.values[static_cast<std::size_t>(s.a)];
-      const float* x = ops.a;
-      float* y = ops.out;
+      const float* x = in_a;
+      float* y = res;
       std::fill(y, y + cols, 0.0f);
       for (std::int64_t i = 0; i < av.rows; ++i) {
         const float* xrow = x + i * cols;
@@ -567,9 +607,9 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
     case OpKind::kConcat2: {
       const ValueInfo& av = p.values[static_cast<std::size_t>(s.a)];
       const ValueInfo& bv = p.values[static_cast<std::size_t>(s.b)];
-      const float* a = ops.a;
-      const float* b = ops.b;
-      float* y = ops.out;
+      const float* a = in_a;
+      const float* b = in_b;
+      float* y = res;
       for (std::int64_t i = 0; i < rows; ++i) {
         std::memcpy(y + i * cols, a + i * av.cols,
                     static_cast<std::size_t>(av.cols) * sizeof(float));
@@ -581,9 +621,9 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
     case OpKind::kMatVec: {
       const ValueInfo& av = p.values[static_cast<std::size_t>(s.a)];
       const std::int64_t k = av.cols;
-      const float* x = ops.a;
+      const float* x = in_a;
       const float* vec = s.gain->value().data().data();
-      float* y = ops.out;
+      float* y = res;
       if (k >= 16) {
         // tensor::MatMul's narrow-output tier (n == 1 < 16, k >= 16).
         for (std::int64_t i = 0; i < rows; ++i) {
@@ -604,9 +644,9 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       break;
     }
     case OpKind::kEdgeScores: {
-      const float* ss = ops.a;
-      const float* ds = ops.b;
-      float* y = ops.out;
+      const float* ss = in_a;
+      const float* ds = in_b;
+      float* y = res;
       const std::vector<std::int32_t>& src = g.edge_src;
       const std::vector<std::int32_t>& dst = g.edge_dst;
       for (std::int64_t e = 0; e < rows; ++e) {
@@ -615,11 +655,11 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       break;
     }
     case OpKind::kSegmentSoftmax:
-      RunSegmentSoftmax(p, in, ops.a, rows, cols, ops.out, scratch);
+      RunSegmentSoftmax(p, in, in_a, rows, cols, res, scratch);
       break;
     case OpKind::kGatherRows: {
-      const float* x = ops.a;
-      float* y = ops.out;
+      const float* x = in_a;
+      float* y = res;
       const std::vector<std::int32_t>& idx = s.edge_sel == 0 ? g.edge_src : g.edge_dst;
       for (std::int64_t e = 0; e < rows; ++e) {
         std::memcpy(y + e * cols, x + idx[static_cast<std::size_t>(e)] * cols,
@@ -628,8 +668,8 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       break;
     }
     case OpKind::kRowScale: {
-      float* x = ops.out;
-      const float* sc = ops.b;
+      float* x = res;
+      const float* sc = in_b;
       for (std::int64_t i = 0; i < rows; ++i) {
         float* row = x + i * cols;
         for (std::int64_t j = 0; j < cols; ++j) row[j] *= sc[i];
@@ -638,8 +678,8 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
     }
     case OpKind::kSegmentSum: {
       const ValueInfo& av = p.values[static_cast<std::size_t>(s.a)];
-      const float* x = ops.a;
-      float* y = ops.out;
+      const float* x = in_a;
+      float* y = res;
       std::fill(y, y + rows * cols, 0.0f);
       const std::vector<std::int32_t>& seg = g.edge_dst;
       for (std::int64_t e = 0; e < av.rows; ++e) {
@@ -650,7 +690,7 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
       break;
     }
     case OpKind::kAddRowVector: {
-      float* x = ops.out;
+      float* x = res;
       const float* bias = s.gain->value().data().data();
       for (std::int64_t i = 0; i < rows; ++i) {
         float* row = x + i * cols;
@@ -661,15 +701,14 @@ void RunStep(const InferProgram& p, std::size_t si, const InferProgram::Snapshot
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 std::int64_t ThreadPlanBufferFloats() noexcept {
   return static_cast<std::int64_t>(ThreadExecState().buf.size());
 }
 
 bool Execute(const InferProgram& p, const ExecInputs& in, float* out) {
-  if (out == nullptr || !detail::ValidateInputs(p, in)) return false;
-  const graph::EncodedGraph& g = *in.g;
+  if (out == nullptr || !ValidateInputs(p, in)) return false;
 
   ExecState& state = ThreadExecState();
   const std::int64_t need = p.PlanFloats();
@@ -683,28 +722,11 @@ bool Execute(const InferProgram& p, const ExecInputs& in, float* out) {
   // attention step (the mask is identical across layers and heads). A lane
   // outside [lo, hi) is -inf masked; lanes inside may still be masked and
   // are handled by the windowed softmax.
-  if (detail::NeedsMaskRuns(p)) detail::BuildMaskRuns(p, in, state.runs);
+  if (NeedsMaskRuns(p)) BuildMaskRuns(p, in, state.runs);
 
   const auto snap = p.CurrentSnapshot();
-
-  const auto ptr_of = [&](ValueId v) -> const float* {
-    if (v == kNoValue) return nullptr;
-    const ValueInfo& vi = p.values[static_cast<std::size_t>(v)];
-    switch (vi.external) {
-      case External::kFeatures: return g.features.data().data();
-      case External::kDepthPe: return in.pe;
-      case External::kNone: break;
-    }
-    return base + p.offsets[static_cast<std::size_t>(v)];
-  };
-
   for (std::size_t si = 0; si < p.steps.size(); ++si) {
-    const Step& s = p.steps[si];
-    const detail::StepOperands ops{
-        ptr_of(s.a), ptr_of(s.b), ptr_of(s.c),
-        base + p.offsets[static_cast<std::size_t>(s.out)]};
-    detail::RunStep(p, si, *snap, in, ops,
-                    p.values[static_cast<std::size_t>(s.out)].rows, scratch, &state.runs);
+    RunStep(p, si, *snap, in, base, scratch, state.runs);
   }
 
   *out = base[p.offsets[static_cast<std::size_t>(p.output)]];

@@ -1,5 +1,6 @@
 #include "core/predictors.h"
 
+#include <atomic>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -12,6 +13,7 @@
 #include "fault/status.h"
 #include "graph/depth.h"
 #include "nn/serialize.h"
+#include "util/thread_pool.h"
 
 namespace predtop::core {
 
@@ -56,17 +58,24 @@ bool StagePredictor::TryInferCompiled(const graph::EncodedGraph& g, float* out) 
 
 bool StagePredictor::TryInferCompiledBatch(const graph::EncodedGraph* const* graphs,
                                            std::size_t count, float* out,
-                                           const compile::BatchOptions& opts) {
+                                           util::ThreadPool* pool) {
   if (count == 0) return true;
   if (graphs == nullptr || out == nullptr) return false;
   const auto program = CachedProgram(*graphs[0]);
   if (program == nullptr) return false;
-  std::vector<compile::ExecInputs> inputs(count);
-  std::vector<std::shared_ptr<const tensor::Tensor>> keepalive(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    FillExecInputs(*graphs[i], inputs[i], keepalive[i]);
+  std::atomic<bool> ok{true};
+  const auto run = [&](std::size_t i) {
+    compile::ExecInputs inputs;
+    std::shared_ptr<const tensor::Tensor> keepalive;
+    FillExecInputs(*graphs[i], inputs, keepalive);
+    if (!compile::Execute(*program, inputs, &out[i])) ok.store(false, std::memory_order_relaxed);
+  };
+  if (pool != nullptr && count > 1) {
+    pool->ParallelFor(count, run);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) run(i);
   }
-  return compile::ExecuteBatch(*program, inputs.data(), count, out, opts);
+  return ok.load(std::memory_order_relaxed);
 }
 
 const char* PredictorKindName(PredictorKind kind) noexcept {

@@ -8,7 +8,6 @@
 #include <memory>
 #include <string>
 
-#include "compile/batch.h"
 #include "compile/cache.h"
 #include "compile/program.h"
 #include "graph/encode.h"
@@ -16,6 +15,10 @@
 #include "nn/gat.h"
 #include "nn/gcn.h"
 #include "nn/linear.h"
+
+namespace predtop::util {
+class ThreadPool;
+}  // namespace predtop::util
 
 namespace predtop::core {
 
@@ -66,16 +69,17 @@ class StagePredictor : public nn::Module {
   /// Program-cache owner key of this instance.
   [[nodiscard]] std::uint64_t InstanceId() const noexcept { return instance_id_; }
 
-  /// Compiled batch execution: run `count` graphs of ONE shape class (same
-  /// (num_nodes, num_edges) — the caller groups) through this instance's
-  /// program for that shape, writing one normalized scalar per graph.
-  /// Resolves the program, weight snapshot, and plan once for the whole
-  /// batch; results are bit-identical to `count` TryInferCompiled calls.
-  /// False = not compiled / shape mismatch: the caller falls back to
-  /// sequential prediction.
+  /// Compiled execution of `count` graphs of ONE shape class (same
+  /// (num_nodes, num_edges) — the caller groups), writing one normalized
+  /// scalar per graph. The program is resolved once, on graphs[0]; each
+  /// graph then runs one sequential compile::Execute, fanned out on `pool`
+  /// when given (the calling thread takes part) and one after another on
+  /// the calling thread otherwise, so results are bit-identical to `count`
+  /// TryInferCompiled calls. False = not compiled / shape mismatch (`out`
+  /// is then unspecified): the caller falls back to sequential prediction.
   [[nodiscard]] bool TryInferCompiledBatch(const graph::EncodedGraph* const* graphs,
                                            std::size_t count, float* out,
-                                           const compile::BatchOptions& opts = {});
+                                           util::ThreadPool* pool = nullptr);
 
  protected:
   /// Compiled program for g's shape class: LRU-cached globally, recorded via
@@ -93,8 +97,7 @@ class StagePredictor : public nn::Module {
 
   /// Execute the compiled program for g, writing the normalized prediction
   /// to *out. False = not compiled / shape mismatch: answer on the tape.
-  /// Externals come from FillExecInputs, so both this and the batch path see
-  /// the same predictor-specific inputs.
+  /// Externals come from FillExecInputs.
   [[nodiscard]] bool TryInferCompiled(const graph::EncodedGraph& g, float* out);
 
   /// Resolve g's execution inputs for the compiled path. Overrides supply

@@ -243,16 +243,14 @@ std::vector<double> LatencyRegressor::PredictBatch(
 
   // One task per group. Groups have distinct program-cache keys, so no
   // program is built twice, and each task writes only its own `out` slots.
-  // A same-shape group's interleave nests on the same pool.
-  compile::BatchOptions opts;
-  opts.pool = pool;
+  // A group's members fan out on the same pool (nested ParallelFor).
   const auto run_group = [&](std::size_t k) {
     const std::vector<std::size_t>& indices = *groups[k];
     std::vector<const graph::EncodedGraph*> members;
     members.reserve(indices.size());
     for (const std::size_t i : indices) members.push_back(graphs[i]);
     std::vector<float> preds(indices.size(), 0.0f);
-    if (model_->TryInferCompiledBatch(members.data(), members.size(), preds.data(), opts)) {
+    if (model_->TryInferCompiledBatch(members.data(), members.size(), preds.data(), pool)) {
       for (std::size_t j = 0; j < indices.size(); ++j) {
         out[indices[j]] = std::max(1e-6, Denormalize(preds[j]));
       }

@@ -45,15 +45,15 @@ class LatencyRegressor {
   [[nodiscard]] double PredictSecondsTape(const graph::EncodedGraph& g);
 
   /// Predictions for a batch of graphs. Groups the batch by shape class
-  /// ((num_nodes, num_edges)) and runs each same-shape group through the
-  /// compiled batch executor — program, weight snapshot, and plan resolved
-  /// once per group (see compile::ExecuteBatch) — falling back to per-graph
+  /// ((num_nodes, num_edges)), resolves each group's compiled program once
+  /// and runs compile::Execute for every member (see
+  /// StagePredictor::TryInferCompiledBatch), falling back to per-graph
   /// PredictSeconds when a group is not compilable. With a `pool`, the
   /// groups run as concurrent tasks on it (the calling thread runs tasks
-  /// too) and a same-shape group's interleaved forwards nest on the same
-  /// pool; without one they run one after another on the calling thread.
-  /// Results are bit-identical to calling PredictSeconds per graph in every
-  /// case: each forward is one independent sequential execution.
+  /// too) and each group's members fan out on the same pool; without one
+  /// everything runs one after another on the calling thread. Results are
+  /// bit-identical to calling PredictSeconds per graph in every case: each
+  /// forward is one independent sequential execution.
   [[nodiscard]] std::vector<double> PredictBatch(std::span<const graph::EncodedGraph> graphs,
                                                  util::ThreadPool* pool = nullptr);
   /// Pointer-span overload (predtop::serve batches deduplicated queries that

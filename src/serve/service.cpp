@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "compile/batch.h"
 #include "compile/cache.h"
 #include "fault/injector.h"
 #include "fault/status.h"
@@ -291,8 +290,6 @@ ServiceStats PredictionService::Stats() const {
   auto& programs = compile::ProgramCache::Global();
   stats.program_cache_hits = programs.Hits();
   stats.program_cache_misses = programs.Misses();
-  stats.batched_forwards = compile::BatchedForwards();
-  stats.interleaved_forwards = compile::InterleavedForwards();
   return stats;
 }
 

@@ -48,12 +48,13 @@ struct ServiceOptions {
   std::size_t cache_capacity = 1 << 16;
   std::size_t cache_shards = 8;
   /// Worker threads of the service pool (0 = hardware_concurrency). With
-  /// more than one, PredictMany runs the compiled path's shape groups of
-  /// distinct misses as concurrent pool tasks (see core::LatencyRegressor::
-  /// PredictBatch) and ServingOracle::PredictBatch prices its per-mesh
-  /// buckets concurrently. ParallelFor's calling thread runs tasks too, so
-  /// a 1-worker pool would still spread forwards over two threads: with
-  /// threads = 1 PredictMany keeps them on the calling thread.
+  /// more than one, PredictMany runs the shape groups of distinct misses,
+  /// and each group's members, as concurrent pool tasks (see
+  /// core::LatencyRegressor::PredictBatch) and ServingOracle::PredictBatch
+  /// prices its per-mesh buckets concurrently. ParallelFor's calling thread
+  /// runs tasks too, so a 1-worker pool would still spread forwards over two
+  /// threads: with threads = 1 PredictMany runs every forward on the calling
+  /// thread, and no other pool is used in its place.
   std::size_t threads = 1;
   /// Shed headroom for deadline-carrying queries: a forward is skipped (and
   /// the query fails typed kDeadlineExceeded) unless at least this many
@@ -71,14 +72,10 @@ struct ServiceStats {
   std::uint64_t expired = 0;    // queries shed before the forward (deadline)
   std::uint64_t late = 0;       // forwards that finished past their deadline
   CacheStats cache;
-  // Compiled-path counters, snapshotted from the process-wide compile layer
-  // (they are not per-service and stay monotonic across ResetStats): program
-  // cache outcomes, queries run through the stacked / interleaved batch
-  // executors.
+  // Program cache outcomes, snapshotted from the process-wide compile layer
+  // (not per-service; monotonic across ResetStats).
   std::uint64_t program_cache_hits = 0;
   std::uint64_t program_cache_misses = 0;
-  std::uint64_t batched_forwards = 0;
-  std::uint64_t interleaved_forwards = 0;
 };
 
 class PredictionService {
@@ -98,8 +95,9 @@ class PredictionService {
                                std::uint64_t deadline_us = 0);
 
   /// Micro-batched query: duplicate stages inside the batch are predicted
-  /// once. Distinct misses run through one compiled batch call whose shape
-  /// groups fan out across the service pool (ServiceOptions::threads > 1).
+  /// once. Distinct misses run through one LatencyRegressor::PredictBatch
+  /// call whose shape groups fan out across the service pool
+  /// (ServiceOptions::threads > 1).
   /// Returns latencies parallel to `graphs`. A nonzero `deadline_us` sheds every
   /// not-yet-forwarded query once the deadline (minus the configured margin)
   /// passes; the batch fails as a whole with kDeadlineExceeded.

@@ -250,11 +250,7 @@ std::size_t GemmThreadTarget() noexcept {
 }
 
 /// m*k*n at which the packed GEMM fans row panels across the shared pool.
-std::int64_t GemmParMinElems() noexcept {
-  static const std::int64_t min_elems =
-      util::EnvInt("PREDTOP_GEMM_PAR_MIN_ELEMS", 4l << 20);  // 4Mi MACs
-  return min_elems;
-}
+constexpr std::int64_t kGemmParMinElems = std::int64_t{4} << 20;  // 4Mi MACs
 
 /// Shared process-wide pool for threaded GEMMs, built on first threaded
 /// multiply. Serving-size forwards stay below the threading threshold, so the
@@ -337,7 +333,7 @@ bool UsePackedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept {
 bool UseThreadedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept {
   if (GemmThreadTarget() <= 1) return false;
   if (m < 4 * kGemmMr) return false;  // too few row tiles to split
-  return m * k * n >= GemmParMinElems();
+  return m * k * n >= kGemmParMinElems;
 }
 
 void MatMulPackedStridedInto(const float* a, std::int64_t m, std::int64_t lda,

@@ -11,8 +11,8 @@
 //    256^3 and the backbone of the compiled inference programs (packed
 //    weights are cached per nn::Linear);
 //  - a ParallelFor-over-row-panels variant of the packed kernel on a shared
-//    process-wide util::ThreadPool for large m (PREDTOP_GEMM_THREADS /
-//    PREDTOP_GEMM_PAR_MIN_ELEMS knobs).
+//    process-wide util::ThreadPool for large m (at least 4Mi MACs; the pool
+//    size is capped by PREDTOP_GEMM_THREADS).
 // MatMul / MatMulTransB dispatch between the tiers by shape (UsePackedGemm /
 // UseThreadedGemm); results are deterministic across tiers and thread counts
 // because each output element is always accumulated in ascending-k order by
@@ -137,7 +137,7 @@ void GemmNaiveAccumulate(const float* a, std::int64_t lda, const float* b, std::
   return n < 16 && k >= 16;
 }
 /// True when the packed kernel additionally spreads row panels across the
-/// shared GEMM ThreadPool (m*k*n >= PREDTOP_GEMM_PAR_MIN_ELEMS, default 4Mi).
+/// shared GEMM ThreadPool (m*k*n >= 4Mi).
 /// Threading never changes result bits, only where the crossover sits.
 [[nodiscard]] bool UseThreadedGemm(std::int64_t m, std::int64_t k, std::int64_t n) noexcept;
 /// Worker count the shared GEMM pool runs with (PREDTOP_GEMM_THREADS or

@@ -1,10 +1,10 @@
 // Tests for the compiled-inference subsystem (predtop::compile): fp32
 // plan-vs-tape parity for every predictor, static-arena planner properties
 // (no overlapping offsets for live-range-intersecting values, deterministic
-// layouts), allocation-free warm forwards, batch-vs-sequential equality and
-// the kAuto interleave crossover, program-cache LRU bounds and owner
-// eviction, and concurrent compiled forwards (run under TSan by
-// ci/run.sh tsan).
+// layouts), allocation-free warm forwards, PredictBatch-vs-PredictSeconds
+// equality on every pool with one program per shape class, program-cache LRU
+// bounds and owner eviction, and concurrent compiled forwards (run under
+// TSan by ci/run.sh tsan).
 
 #include <gtest/gtest.h>
 
@@ -16,11 +16,12 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "compile/batch.h"
 #include "compile/cache.h"
 #include "compile/planner.h"
 #include "compile/program.h"
@@ -373,13 +374,13 @@ TEST(CompiledConcurrency, SharedModelConcurrentCompiledForwardIsStable) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// ---- batch-compiled execution ----
+// ---- LatencyRegressor::PredictBatch over compiled programs ----
 
 /// A same-shape batch with genuinely distinct inputs: copies of `g` whose
 /// feature tensors are scaled per query. Shape class, depths, adjacency, and
 /// DAGRA mask stay shared, so every copy routes to one compiled program while
-/// each query's numbers differ — a wrong stacked offset shows up as a
-/// cross-query value swap, not a silent pass.
+/// each query's numbers differ — a result written to the wrong slot shows up
+/// as a cross-query value swap, not a silent pass.
 std::vector<graph::EncodedGraph> DistinctSameShapeBatch(const graph::EncodedGraph& g,
                                                         std::size_t count) {
   std::vector<graph::EncodedGraph> graphs(count, g);
@@ -390,97 +391,118 @@ std::vector<graph::EncodedGraph> DistinctSameShapeBatch(const graph::EncodedGrap
   return graphs;
 }
 
-/// Pointer view + per-query sequential-compiled expectations for a batch.
-struct BatchFixture {
-  std::vector<graph::EncodedGraph> graphs;
-  std::vector<const graph::EncodedGraph*> ptrs;
-  std::vector<float> expected;  // sequential compiled scalar per query
-};
-
-BatchFixture MakeBatchFixture(StagePredictor& model, const graph::EncodedGraph& base,
-                              std::size_t count) {
-  BatchFixture f;
-  f.graphs = DistinctSameShapeBatch(base, count);
-  for (const auto& g : f.graphs) {
-    f.ptrs.push_back(&g);
-    f.expected.push_back(CompiledScalar(model, g));
-  }
-  return f;
-}
-
-/// Runs the first `batch` queries of `f` through TryInferCompiledBatch under
-/// `opts` and asserts bit-exact agreement with the sequential expectations.
-void ExpectBatchParity(StagePredictor& model, const BatchFixture& f, std::size_t batch,
-                       const compile::BatchOptions& opts, const char* what) {
-  std::vector<float> out(batch, -1.0f);
-  ASSERT_TRUE(model.TryInferCompiledBatch(f.ptrs.data(), batch, out.data(), opts))
-      << model.Name() << " " << what << " batch=" << batch << ": fell back";
-  for (std::size_t q = 0; q < batch; ++q) {
-    ASSERT_EQ(out[q], f.expected[q])
-        << model.Name() << " " << what << " batch=" << batch << " q=" << q;
-  }
-}
-
 constexpr std::size_t kBatchSizes[] = {1, 2, 7, 64};
 
-TEST(CompiledBatch, StackedModeMatchesSequentialBitExact) {
-  const graph::EncodedGraph base = TinyEncodedStage();
-  for (const PredictorKind kind : kAllKinds) {
-    auto model = MakePredictor(kind, TinyOptions());
-    const BatchFixture f = MakeBatchFixture(*model, base, 64);
-    compile::BatchOptions opts;
-    opts.mode = compile::BatchMode::kBatched;
-    for (const std::size_t batch : kBatchSizes) {
-      ExpectBatchParity(*model, f, batch, opts, "stacked");
-      if (HasFatalFailure()) return;
-    }
-  }
-}
+/// PredictBatch over the first {1, 2, 7, 64} perturbed copies of one stage,
+/// on each of `pools` (nullptr: no pool), must be bit-equal to per-graph
+/// PredictSeconds through the compiled program. The log transform
+/// maps every normalized output to a distinct positive latency (the linear
+/// one clamps an untrained model's negative outputs to one 1 us floor, which
+/// would hide a query answered from another query's inputs).
+void ExpectPredictBatchMatchesPredictSeconds(const PredictorOptions& options,
+                                             PredictorKind kind,
+                                             std::span<util::ThreadPool* const> pools) {
+  LatencyRegressor regressor(kind, options, TargetTransform::kLogStandardized);
+  const std::vector<graph::EncodedGraph> graphs =
+      DistinctSameShapeBatch(TinyEncodedStage(), 64);
+  std::vector<double> expected;
+  for (const graph::EncodedGraph& g : graphs) expected.push_back(regressor.PredictSeconds(g));
+  (void)CompiledScalar(regressor.Model(), graphs[0]);  // the compiled path answers
+  ASSERT_EQ(std::set<double>(expected.begin(), expected.begin() + 11).size(), 11u)
+      << regressor.Model().Name() << ": perturbed queries must predict distinct latencies";
 
-TEST(CompiledBatch, InterleavedModeMatchesAcrossThreadCounts) {
-  const graph::EncodedGraph base = TinyEncodedStage();
-  for (const PredictorKind kind : kAllKinds) {
-    auto model = MakePredictor(kind, TinyOptions());
-    const BatchFixture f = MakeBatchFixture(*model, base, 64);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      util::ThreadPool pool(threads);
-      compile::BatchOptions opts;
-      opts.mode = compile::BatchMode::kInterleaved;
-      opts.pool = &pool;
-      for (const std::size_t batch : kBatchSizes) {
-        ExpectBatchParity(*model, f, batch, opts, "interleaved");
-        if (HasFatalFailure()) return;
+  for (util::ThreadPool* pool : pools) {
+    const std::size_t threads = pool != nullptr ? pool->ThreadCount() : 0;
+    for (const std::size_t batch : kBatchSizes) {
+      const std::vector<double> got =
+          regressor.PredictBatch(std::span(graphs.data(), batch), pool);
+      ASSERT_EQ(got.size(), batch);
+      for (std::size_t q = 0; q < batch; ++q) {
+        ASSERT_EQ(got[q], expected[q]) << regressor.Model().Name() << " pool=" << threads
+                                       << " batch=" << batch << " q=" << q;
       }
     }
   }
 }
 
+TEST(CompiledBatch, StackedModeMatchesSequentialBitExact) {
+  // A same-shape group without a pool: one program, its members executed in
+  // turn on the caller's thread (the work the stacked batch pass once did).
+  util::ThreadPool* const no_pool[] = {nullptr};
+  for (const PredictorKind kind : kAllKinds) {
+    ExpectPredictBatchMatchesPredictSeconds(TinyOptions(), kind, no_pool);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(CompiledBatch, InterleavedModeMatchesAcrossThreadCounts) {
+  // The same group with its members fanned out on the caller's pool of 1, 2
+  // and 8 workers (the work the interleaved batch pass once did).
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool2(2);
+  util::ThreadPool pool8(8);
+  util::ThreadPool* const pools[] = {&pool1, &pool2, &pool8};
+  for (const PredictorKind kind : kAllKinds) {
+    ExpectPredictBatchMatchesPredictSeconds(TinyOptions(), kind, pools);
+    if (HasFatalFailure()) return;
+  }
+}
+
 TEST(CompiledBatch, DagTransformerAblationsMatchInBatch) {
-  const graph::EncodedGraph base = TinyEncodedStage();
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool2(2);
+  util::ThreadPool pool8(8);
+  util::ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool8};
   for (const bool use_dagra : {true, false}) {
     for (const bool use_dagpe : {true, false}) {
+      if (use_dagra && use_dagpe) continue;  // the full model runs above
       PredictorOptions options = TinyOptions();
       options.use_dagra = use_dagra;
       options.use_dagpe = use_dagpe;
-      auto model = MakePredictor(PredictorKind::kDagTransformer, options);
-      const BatchFixture f = MakeBatchFixture(*model, base, 7);
-      compile::BatchOptions opts;
-      opts.mode = compile::BatchMode::kBatched;
-      ExpectBatchParity(*model, f, 7, opts, "ablation");
+      SCOPED_TRACE(std::string("dagra=") + (use_dagra ? "on" : "off") +
+                   " dagpe=" + (use_dagpe ? "on" : "off"));
+      ExpectPredictBatchMatchesPredictSeconds(options, PredictorKind::kDagTransformer, pools);
       if (HasFatalFailure()) return;
     }
   }
 }
 
-TEST(CompiledBatch, AutoModeCountsEveryQuery) {
-  const graph::EncodedGraph base = TinyEncodedStage();
-  auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
-  const BatchFixture f = MakeBatchFixture(*model, base, 5);
-  const std::uint64_t before =
-      compile::BatchedForwards() + compile::InterleavedForwards();
-  ExpectBatchParity(*model, f, 5, compile::BatchOptions{}, "auto");
-  EXPECT_EQ(compile::BatchedForwards() + compile::InterleavedForwards(), before + 5)
-      << "every query must land in exactly one batch-path counter";
+TEST(CompiledBatch, OneProgramPerShapeClassOnAPool) {
+  // Three shape classes, five distinct-input members each, interleaved in
+  // arrival order. Each group resolves its program once, on its first
+  // member: a fresh regressor misses the program cache exactly once per
+  // shape class and never hits it.
+  const graph::EncodedGraph bases[] = {TinyEncodedStage(0, 1), TinyEncodedStage(1, 2),
+                                       TinyEncodedStage(0, 3)};
+  std::vector<std::vector<graph::EncodedGraph>> members;
+  for (const graph::EncodedGraph& base : bases) {
+    members.push_back(DistinctSameShapeBatch(base, 5));
+  }
+  std::vector<const graph::EncodedGraph*> graphs;
+  for (std::size_t q = 0; q < 5; ++q) {
+    for (const auto& group : members) graphs.push_back(&group[q]);
+  }
+  std::set<std::pair<std::int64_t, std::size_t>> shapes;
+  for (const graph::EncodedGraph* g : graphs) shapes.emplace(g->num_nodes, g->edge_src.size());
+  ASSERT_EQ(shapes.size(), 3u);
+
+  LatencyRegressor reference(PredictorKind::kDagTransformer, TinyOptions(),
+                             TargetTransform::kLogStandardized);
+  std::vector<double> expected;
+  for (const graph::EncodedGraph* g : graphs) expected.push_back(reference.PredictSeconds(*g));
+
+  util::ThreadPool pool(2);
+  LatencyRegressor regressor(PredictorKind::kDagTransformer, TinyOptions(),
+                             TargetTransform::kLogStandardized);
+  auto& cache = compile::ProgramCache::Global();
+  const std::uint64_t misses0 = cache.Misses();
+  const std::uint64_t hits0 = cache.Hits();
+  const std::vector<double> got =
+      regressor.PredictBatch(std::span<const graph::EncodedGraph* const>(graphs), &pool);
+  EXPECT_EQ(cache.Misses() - misses0, shapes.size());
+  EXPECT_EQ(cache.Hits() - hits0, 0u) << "a group resolved its program more than once";
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]) << i;
 }
 
 TEST(CompiledBatch, RegressorBatchMatchesSequentialAcrossShapes) {
@@ -539,8 +561,7 @@ const std::vector<const graph::EncodedGraph*>& SearchDistinctGraphs() {
 
 TEST(CompiledBatch, RegressorBatchFanOutMatchesPerGraphOnEveryPool) {
   // The search's distinct graphs plus same-shape copies that join a group:
-  // three of the 4-node diamond, whose forward is too small to interleave
-  // (stacked), and three of the largest search graph (interleaved).
+  // three of the 4-node diamond and three of the largest search graph.
   std::vector<const graph::EncodedGraph*> graphs = SearchDistinctGraphs();
   ASSERT_EQ(graphs.size(), 27u + 44u);
   const graph::EncodedGraph* largest = *std::ranges::max_element(
@@ -551,7 +572,8 @@ TEST(CompiledBatch, RegressorBatchFanOutMatchesPerGraphOnEveryPool) {
   for (const auto& g : diamonds) graphs.push_back(&g);
   for (std::size_t q = 1; q < copies.size(); ++q) graphs.push_back(&copies[q]);
 
-  LatencyRegressor reference(PredictorKind::kDagTransformer, TinyOptions());
+  LatencyRegressor reference(PredictorKind::kDagTransformer, TinyOptions(),
+                             TargetTransform::kLogStandardized);
   std::vector<double> expected;
   for (const graph::EncodedGraph* g : graphs) expected.push_back(reference.PredictSeconds(*g));
 
@@ -560,84 +582,38 @@ TEST(CompiledBatch, RegressorBatchFanOutMatchesPerGraphOnEveryPool) {
     if (threads > 0) pool.emplace(threads);
     // A fresh regressor (same seed, so the same weights): every program is
     // built inside the fanned-out call, concurrently across groups.
-    LatencyRegressor regressor(PredictorKind::kDagTransformer, TinyOptions());
+    LatencyRegressor regressor(PredictorKind::kDagTransformer, TinyOptions(),
+                               TargetTransform::kLogStandardized);
     const std::uint64_t builds0 = compile::ProgramCache::Global().Misses();
-    const std::uint64_t batched0 = compile::BatchedForwards();
-    const std::uint64_t interleaved0 = compile::InterleavedForwards();
     const std::vector<double> got = regressor.PredictBatch(
         std::span<const graph::EncodedGraph* const>(graphs), pool ? &*pool : nullptr);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       ASSERT_EQ(got[i], expected[i]) << "threads=" << threads << " i=" << i;
     }
-    const std::uint64_t batched = compile::BatchedForwards() - batched0;
-    const std::uint64_t interleaved = compile::InterleavedForwards() - interleaved0;
-    EXPECT_EQ(batched + interleaved, graphs.size()) << "threads=" << threads;
     // One build per shape class: the diamonds' and the search graphs' own.
     std::set<std::pair<std::int64_t, std::size_t>> shapes;
     for (const graph::EncodedGraph* g : graphs) shapes.emplace(g->num_nodes, g->edge_src.size());
     EXPECT_EQ(compile::ProgramCache::Global().Misses() - builds0, shapes.size())
         << "threads=" << threads;
-    if (pool) {
-      EXPECT_GE(batched, diamonds.size()) << "threads=" << threads;
-      EXPECT_GE(interleaved, copies.size()) << "threads=" << threads;
-    }
-  }
-}
-
-TEST(CompiledBatch, AutoModeCrossoverFollowsLinearFlops) {
-  // A one-worker pool plus the calling thread makes kAuto's thread condition
-  // hold on any host, so the per-query linear FLOPs alone decide the path:
-  // the tiny trunk stays stacked, the paper-size dim-64 trunk interleaves.
-  util::ThreadPool pool(1);
-  compile::BatchOptions opts;
-  opts.pool = &pool;
-  struct Case {
-    const char* name;
-    std::unique_ptr<StagePredictor> model;
-    const graph::EncodedGraph* base;
-    bool interleaves;
-  };
-  const graph::EncodedGraph tiny = TinyEncodedStage();
-  Case cases[] = {
-      {"tiny", MakePredictor(PredictorKind::kDagTransformer, TinyOptions()), &tiny, false},
-      {"paper", MakePredictor(PredictorKind::kDagTransformer, PaperOptions()),
-       &PaperScaleStage(), true},
-  };
-  constexpr std::size_t kCount = compile::kInterleaveMinBatch + 1;
-  for (Case& c : cases) {
-    const BatchFixture f = MakeBatchFixture(*c.model, *c.base, kCount);
-    const auto program = compile::ProgramCache::Global().Lookup(
-        c.model->InstanceId(), c.base->num_nodes,
-        static_cast<std::int64_t>(c.base->edge_src.size()));
-    ASSERT_TRUE(program.has_value() && *program != nullptr) << c.name;
-    EXPECT_EQ(compile::LinearFlops(**program) >= compile::kInterleaveMinFlops, c.interleaves)
-        << c.name << ": linear FLOPs " << compile::LinearFlops(**program);
-    const std::uint64_t batched0 = compile::BatchedForwards();
-    const std::uint64_t interleaved0 = compile::InterleavedForwards();
-    ExpectBatchParity(*c.model, f, kCount, opts, c.name);
-    EXPECT_EQ(compile::InterleavedForwards() - interleaved0, c.interleaves ? kCount : 0u)
-        << c.name;
-    EXPECT_EQ(compile::BatchedForwards() - batched0, c.interleaves ? 0u : kCount) << c.name;
   }
 }
 
 TEST(CompiledBatchArena, WarmBatchAllocatesNothing) {
-  const graph::EncodedGraph base = TinyEncodedStage();
-  auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
-  const BatchFixture f = MakeBatchFixture(*model, base, 8);
-  std::vector<float> out(8);
-  compile::BatchOptions opts;
-  opts.mode = compile::BatchMode::kBatched;
-  // Cold: compiles the program (if needed) and grows the batched plan buffer.
-  ASSERT_TRUE(model->TryInferCompiledBatch(f.ptrs.data(), 8, out.data(), opts));
-  const std::int64_t batch_floats = compile::ThreadBatchBufferFloats();
-  EXPECT_GT(batch_floats, 0);
+  // Without a pool every member runs compile::Execute on the calling thread:
+  // once the shape is warm, re-running the batch must not grow its plan
+  // buffer.
+  LatencyRegressor regressor(PredictorKind::kDagTransformer, TinyOptions());
+  const std::vector<graph::EncodedGraph> graphs =
+      DistinctSameShapeBatch(TinyEncodedStage(), 8);
+  (void)regressor.PredictBatch(std::span<const graph::EncodedGraph>(graphs));
+  const std::int64_t plan_floats = compile::ThreadPlanBufferFloats();
+  EXPECT_GT(plan_floats, 0);
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(model->TryInferCompiledBatch(f.ptrs.data(), 8, out.data(), opts));
+    (void)regressor.PredictBatch(std::span<const graph::EncodedGraph>(graphs));
   }
-  EXPECT_EQ(compile::ThreadBatchBufferFloats(), batch_floats)
-      << "warm batched forward grew the plan buffer";
+  EXPECT_EQ(compile::ThreadPlanBufferFloats(), plan_floats)
+      << "warm batch grew the plan buffer";
 }
 
 TEST(ProgramCache, HitAndMissCountersAreMonotonic) {
@@ -655,30 +631,28 @@ TEST(ProgramCache, HitAndMissCountersAreMonotonic) {
   EXPECT_EQ(cache.Misses(), misses1);
 }
 
-// Exercised under TSan via ci/run.sh tsan: concurrent stacked batches on one
-// shared model hit the program cache, the weight snapshot, and the per-thread
-// batch buffers from many threads at once.
+// Exercised under TSan via ci/run.sh tsan: concurrent PredictBatch calls on
+// one shared regressor, half of them fanning out on one shared pool, hit the
+// program cache, the weight snapshot, the DAGRA/PE caches and the per-thread
+// plan buffers from many threads at once.
 TEST(CompiledBatchConcurrency, SharedModelConcurrentBatchForwardIsStable) {
-  const graph::EncodedGraph base = TinyEncodedStage();
-  auto model = MakePredictor(PredictorKind::kDagTransformer, TinyOptions());
-  const BatchFixture f = MakeBatchFixture(*model, base, 6);
+  LatencyRegressor regressor(PredictorKind::kDagTransformer, TinyOptions(),
+                             TargetTransform::kLogStandardized);
+  const std::vector<graph::EncodedGraph> graphs =
+      DistinctSameShapeBatch(TinyEncodedStage(), 6);
+  std::vector<double> expected;
+  for (const graph::EncodedGraph& g : graphs) expected.push_back(regressor.PredictSeconds(g));
+  util::ThreadPool pool(2);
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      compile::BatchOptions opts;
-      opts.mode = compile::BatchMode::kBatched;
-      std::vector<float> out(f.ptrs.size());
+    threads.emplace_back([&, t] {
+      util::ThreadPool* fan_out = t % 2 == 0 ? &pool : nullptr;
       for (int i = 0; i < 16; ++i) {
-        if (!model->TryInferCompiledBatch(f.ptrs.data(), f.ptrs.size(), out.data(),
-                                          opts)) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        for (std::size_t q = 0; q < f.ptrs.size(); ++q) {
-          if (out[q] != f.expected[q]) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
+        const std::vector<double> got =
+            regressor.PredictBatch(std::span<const graph::EncodedGraph>(graphs), fan_out);
+        for (std::size_t q = 0; q < graphs.size(); ++q) {
+          if (got[q] != expected[q]) mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });

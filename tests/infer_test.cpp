@@ -181,8 +181,8 @@ TEST(InferParity, GeneratedDagsMatchTapeForEveryPredictor) {
   for (const auto& [kind, options] : cases) {
     LatencyRegressor regressor(kind, options);
     for (const graph::EncodedGraph& g : graphs) ExpectCompiledParity(regressor.Model(), g);
-    // The batch groups by shape class and runs each group through the
-    // compiled batch executor: bit-equal to per-graph PredictSeconds.
+    // The batch groups by shape class and runs each group's members through
+    // the group's compiled program: bit-equal to per-graph PredictSeconds.
     const std::vector<double> batch = regressor.PredictBatch(graphs);
     ASSERT_EQ(batch.size(), graphs.size());
     for (std::size_t i = 0; i < graphs.size(); ++i) {

@@ -16,7 +16,6 @@
 #include <thread>
 #include <utility>
 
-#include "compile/batch.h"
 #include "compile/cache.h"
 #include "compile/program.h"
 #include "core/plan_search.h"
@@ -572,8 +571,7 @@ TEST(Service, PredictManyBatchPathMatchesLegacyPath) {
 TEST(Service, PredictManyWarmBatchReusesPlanBuffers) {
   // Regression pin for the per-call buffer reuse fix: once a batch's shapes
   // have been served, re-serving the same batch (cache cleared, so the
-  // forwards genuinely run) must not grow this thread's sequential plan
-  // buffer or batched plan buffer.
+  // forwards genuinely run) must not grow this thread's plan buffer.
   auto registry = std::make_shared<ModelRegistry>();
   const ModelKey key{"gpt3", "platform1", sim::Mesh{1, 1}, {}};
   registry->Register(key, std::make_shared<core::LatencyRegressor>(
@@ -589,18 +587,16 @@ TEST(Service, PredictManyWarmBatchReusesPlanBuffers) {
   service.ClearCache();
   (void)service.PredictMany(key, batch);  // second pass settles every buffer
   const std::int64_t plan_floats = compile::ThreadPlanBufferFloats();
-  const std::int64_t batch_floats = compile::ThreadBatchBufferFloats();
-  EXPECT_GT(plan_floats + batch_floats, 0) << "compiled batch path never engaged";
+  EXPECT_GT(plan_floats, 0) << "compiled path never engaged";
 
   for (int i = 0; i < 3; ++i) {
     service.ClearCache();
     (void)service.PredictMany(key, batch);
   }
   EXPECT_EQ(compile::ThreadPlanBufferFloats(), plan_floats);
-  EXPECT_EQ(compile::ThreadBatchBufferFloats(), batch_floats);
 }
 
-TEST(Service, StatsExposeCompiledBatchCounters) {
+TEST(Service, StatsExposeProgramCacheCounters) {
   auto registry = std::make_shared<ModelRegistry>();
   const ModelKey key{"gpt3", "platform1", sim::Mesh{1, 1}, {}};
   registry->Register(key, std::make_shared<core::LatencyRegressor>(
@@ -611,22 +607,22 @@ TEST(Service, StatsExposeCompiledBatchCounters) {
   const graph::EncodedGraph g2 = core::EncodeStage(benchmark.build_stage({2, 4}));
   const graph::EncodedGraph g3 = core::EncodeStage(benchmark.build_stage({1, 3}));
 
-  // The compiled-path counters are process-wide snapshots, so assert deltas.
+  // The program-cache counters are process-wide snapshots, so assert deltas.
   const ServiceStats before = service.Stats();
   const std::vector<const graph::EncodedGraph*> batch{&g1, &g2, &g3};
   (void)service.PredictMany(key, batch);
   const ServiceStats after = service.Stats();
   EXPECT_GT(after.program_cache_hits + after.program_cache_misses,
             before.program_cache_hits + before.program_cache_misses);
-  EXPECT_GE(after.batched_forwards + after.interleaved_forwards,
-            before.batched_forwards + before.interleaved_forwards + 3)
-      << "all three distinct queries should run through the batch executors";
+  EXPECT_EQ(after.batched_queries, before.batched_queries + 3);
+  EXPECT_EQ(after.forwards, before.forwards + 3)
+      << "all three distinct queries should run a forward";
   // Monotonic across ResetStats: the compile layer is process-wide.
   service.ResetStats();
   const ServiceStats reset = service.Stats();
   EXPECT_EQ(reset.forwards, 0u);
-  EXPECT_GE(reset.batched_forwards + reset.interleaved_forwards,
-            after.batched_forwards + after.interleaved_forwards);
+  EXPECT_GE(reset.program_cache_hits + reset.program_cache_misses,
+            after.program_cache_hits + after.program_cache_misses);
 }
 
 // ---- thread pool failure propagation ----

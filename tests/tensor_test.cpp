@@ -372,7 +372,7 @@ TEST(PackedGemm, PackTransposedMatchesPackOfTranspose) {
 }
 
 TEST(PackedGemm, ThreadedIsBitIdenticalToSingleThread) {
-  // Above the default PREDTOP_GEMM_PAR_MIN_ELEMS threshold so the threaded
+  // Above the 4Mi-MAC threading threshold so the threaded
   // path actually engages (when more than one hardware thread exists).
   const std::int64_t m = 600, k = 64, n = 128;
   util::Rng rng(13);
